@@ -95,20 +95,15 @@ bool SeqOrderMaintainer::insert_edge(VertexId u, VertexId v) {
 
   VertexId w = u;
   while (w != kInvalidVertex) {
-    // d*in(w) = |pre(w) ∩ V*| — V* members all precede w, so membership
-    // in V* among neighbours is exactly the predecessor count.
-    CoreValue d = 0;
-    for (VertexId x : graph_.neighbors(w))
-      if (vstar_.contains(x)) ++d;
-    state_.din(w) = d;
-
+    // d*in(w) = |pre(w) ∩ V*|, kept as a counter: forward() counts each
+    // V* member into its successors and Backward's DoPost uncounts the
+    // evicted ones (DESIGN.md §3.1).
+    const CoreValue d = state_.din(w);
     if (d + state_.dout(w).load(std::memory_order_relaxed) > K) {
       forward(w, K, list);
     } else if (d > 0) {
       backward(w, K, list);
-    } else {
-      state_.din(w) = 0;  // skipped: not part of V+
-    }
+    }  // else skipped: not part of V+, and din(w) is already 0
     w = dequeue(list);
   }
 
@@ -146,15 +141,24 @@ void SeqOrderMaintainer::forward(VertexId w, CoreValue k, OrderList& list) {
     if (state_.core(x).load(std::memory_order_relaxed) != k) continue;
     if (vstar_.contains(x)) continue;
     if (!state_.precedes_stable(w, x)) continue;  // successors only
+    state_.din(x) += 1;  // w is one more V* predecessor of x
     enqueue(x, list);
   }
 }
 
-void SeqOrderMaintainer::adjust_candidates(VertexId y, CoreValue k) {
+void SeqOrderMaintainer::adjust_candidates(VertexId y, CoreValue k,
+                                           bool origin) {
   // DoPre: V* predecessors of y lose a remaining successor.
-  // DoPost: V* successors of y lose a candidate predecessor.
+  // DoPost: V* successors and queued candidates of y lose a candidate
+  // predecessor.
   for (VertexId x : graph_.neighbors(y)) {
-    if (!vstar_.contains(x)) continue;
+    if (!vstar_.contains(x)) {
+      // Outside V* only queued candidates carry a nonzero d*in, and y's
+      // forward() counted each of them. The Backward origin was never
+      // in V* and counted nobody.
+      if (!origin && state_.din(x) > 0) state_.din(x) -= 1;
+      continue;
+    }
     if (state_.precedes_stable(x, y)) {
       state_.dout(x).fetch_sub(1, std::memory_order_relaxed);
     } else if (state_.din(x) > 0) {
@@ -175,7 +179,7 @@ void SeqOrderMaintainer::backward(VertexId w, CoreValue k, OrderList& list) {
   OmItem* pre = &state_.item(w);
   rq_.clear();
   inr_.clear();
-  adjust_candidates(w, k);  // origin: only the DoPre branch can fire
+  adjust_candidates(w, k, /*origin=*/true);  // only DoPre can fire
   state_.dout(w).fetch_add(state_.din(w), std::memory_order_relaxed);
   state_.din(w) = 0;
 
@@ -183,7 +187,7 @@ void SeqOrderMaintainer::backward(VertexId w, CoreValue k, OrderList& list) {
     const VertexId y = rq_.front();
     rq_.pop_front();
     vstar_.erase(y);
-    adjust_candidates(y, k);
+    adjust_candidates(y, k, /*origin=*/false);
     list.remove(&state_.item(y));
     list.insert_after(pre, &state_.item(y));
     pre = &state_.item(y);

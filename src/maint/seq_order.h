@@ -70,8 +70,9 @@ class SeqOrderMaintainer {
   // -- insertion helpers (Algorithm 2) -----------------------------------
   void forward(VertexId w, CoreValue k, OrderList& list);
   void backward(VertexId w, CoreValue k, OrderList& list);
-  /// DoPre + DoPost in one adjacency scan (both filter on V*).
-  void adjust_candidates(VertexId y, CoreValue k);
+  /// DoPre + DoPost in one adjacency scan; `origin` marks Backward's
+  /// start vertex, which never joined V*.
+  void adjust_candidates(VertexId y, CoreValue k, bool origin);
   void enqueue(VertexId x, OrderList& list);
   VertexId dequeue(OrderList& list);
   void heap_push(HeapEntry e);

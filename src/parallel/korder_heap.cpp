@@ -9,9 +9,47 @@ namespace parcore {
 void KOrderHeap::reset(OrderList* list, CoreState* state) {
   list_ = list;
   state_ = state;
+  // A drained queue has no slots in use; only an abandoned one does.
+  if (!heap_.empty()) std::fill(slots_.begin(), slots_.end(), Slot{});
   heap_.clear();
-  inq_.clear();
   version_valid_ = false;
+}
+
+std::size_t KOrderHeap::home(VertexId v) const {
+  std::uint64_t h = v;
+  h *= 0x9e3779b97f4a7c15ULL;
+  return static_cast<std::size_t>(h ^ (h >> 32)) & (slots_.size() - 1);
+}
+
+std::size_t KOrderHeap::probe(VertexId v) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(v);
+  while (slots_[i].v != kInvalidVertex && slots_[i].v != v) i = (i + 1) & mask;
+  return i;
+}
+
+void KOrderHeap::grow() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  for (const Slot& s : old)
+    if (s.v != kInvalidVertex) slots_[probe(s.v)] = s;
+}
+
+CoreValue KOrderHeap::take(VertexId v) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = probe(v);
+  const CoreValue din = slots_[i].din;
+  // Backward-shift erase: pull later members of the probe run into the
+  // hole unless their home lies cyclically in (hole, j].
+  for (std::size_t j = (i + 1) & mask; slots_[j].v != kInvalidVertex;
+       j = (j + 1) & mask) {
+    if (((j - home(slots_[j].v)) & mask) >= ((j - i) & mask)) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i] = Slot{};
+  return din;
 }
 
 void KOrderHeap::push(Entry e) {
@@ -27,7 +65,16 @@ KOrderHeap::Entry KOrderHeap::pop() {
 }
 
 void KOrderHeap::enqueue(VertexId v) {
-  if (!inq_.insert(v)) return;
+  std::size_t i = probe(v);
+  if (slots_[i].v == v) {  // already queued: only the count grows
+    ++slots_[i].din;
+    return;
+  }
+  if ((heap_.size() + 1) * 2 > slots_.size()) {
+    grow();
+    i = probe(v);
+  }
+  slots_[i] = Slot{v, 1};
   const std::uint64_t ver = list_->version_started();
   const std::uint32_t sv = state_->s(v).load(std::memory_order_acquire);
   Entry e{list_->snapshot_key(&state_->item(v)), sv, v};
@@ -80,7 +127,12 @@ void KOrderHeap::update_version() {
   }
 }
 
-VertexId KOrderHeap::dequeue(CoreValue k) {
+void KOrderHeap::uncount(VertexId v) {
+  Slot& slot = slots_[probe(v)];  // an empty slot holds din == 0
+  if (slot.din > 0) --slot.din;
+}
+
+VertexId KOrderHeap::dequeue(CoreValue k, CoreValue* din) {
   for (;;) {
     if (heap_.empty()) return kInvalidVertex;
     // Version Invariant (Definition 5.1): all cached keys must be from
@@ -96,7 +148,7 @@ VertexId KOrderHeap::dequeue(CoreValue k) {
           return state_->core(v).load(std::memory_order_acquire) == k;
         })) {
       pop();
-      inq_.erase(v);
+      take(v);  // promoted past k: its count is moot
       continue;
     }
     if (state_->s(v).load(std::memory_order_acquire) != e.s) {
@@ -106,7 +158,8 @@ VertexId KOrderHeap::dequeue(CoreValue k) {
       continue;
     }
     pop();
-    inq_.erase(v);
+    const CoreValue d = take(v);
+    if (din != nullptr) *din = d;
     return v;  // locked, core == k, minimal in k-order
   }
 }

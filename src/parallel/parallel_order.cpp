@@ -2,10 +2,32 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "sync/backoff.h"
 
 namespace parcore {
+namespace {
+
+// t while demote_if_unsupported is between its stores (DESIGN.md §3.2
+// item 2).
+constexpr std::int32_t kTPublishing = -1;
+
+// A consistent (core, t) pair of v during a removal batch. Cores only
+// decrease then, so an unchanged core around the t read brackets it;
+// kTPublishing means a demotion is between its stores, which finish
+// promptly. Inline: CheckMCD calls it once per neighbour.
+inline std::pair<CoreValue, std::int32_t> demotion_snapshot(CoreState& state,
+                                                            VertexId v) {
+  for (Backoff backoff;; backoff.pause()) {
+    const CoreValue c = state.core(v).load(std::memory_order_acquire);
+    const std::int32_t t = state.t(v).load(std::memory_order_acquire);
+    if (t != kTPublishing && state.core(v).load(std::memory_order_acquire) == c)
+      return {c, t};
+  }
+}
+
+}  // namespace
 
 ParallelOrderMaintainer::ParallelOrderMaintainer(DynamicGraph& g,
                                                  ThreadTeam& team,
@@ -212,12 +234,10 @@ bool ParallelOrderMaintainer::insert_one(WorkerCtx& ctx, Edge e) {
   ctx.locked.push_back(u);
 
   VertexId w = u;
+  CoreValue d = 0;  // V* is still empty
   while (w != kInvalidVertex) {
-    // d*in(w) = |pre(w) ∩ V*| (Alg. 7 line 9). All V* members are locked
-    // by this worker and precede w, so adjacency membership suffices.
-    CoreValue d = 0;
-    for (VertexId x : graph_.neighbors(w))
-      if (ctx.vstar.contains(x)) ++d;
+    // d = d*in(w) = |pre(w) ∩ V*| (Alg. 7 line 9), counted by the queue
+    // (DESIGN.md §3.1). w is locked now, so din(w) may take it.
     state_.din(w) = d;
 
     if (d + state_.dout(w).load(std::memory_order_relaxed) > k) {
@@ -227,12 +247,11 @@ bool ParallelOrderMaintainer::insert_one(WorkerCtx& ctx, Edge e) {
     } else {
       // Skip: w is not in V+; release it immediately. w is always the
       // most recently locked vertex.
-      state_.din(w) = 0;
       state_.lock(w).unlock();
       ctx.locked.pop_back();
     }
 
-    w = ctx.queue.dequeue(k);  // returns w locked with core == k
+    w = ctx.queue.dequeue(k, &d);  // returns w locked with core == k
     if (w != kInvalidVertex) ctx.locked.push_back(w);
   }
 
@@ -247,18 +266,22 @@ void ParallelOrderMaintainer::insert_forward(WorkerCtx& ctx, VertexId w,
   for (VertexId x : graph_.neighbors(w)) {
     if (state_.core(x).load(std::memory_order_acquire) != k) continue;
     if (ctx.vstar.contains(x)) continue;
-    if (ctx.queue.contains(x)) continue;
     if (!state_.precedes_guarded(w, x)) continue;  // successors only
-    ctx.queue.enqueue(x);
+    ctx.queue.enqueue(x);  // counts w into x's d*in, queued or not
   }
 }
 
 void ParallelOrderMaintainer::adjust_candidates(WorkerCtx& ctx, VertexId y,
-                                                CoreValue k) {
+                                                CoreValue k, bool origin) {
   // DoPre + DoPost in one scan: V* neighbours of y are all locked by
   // this worker, so their relative order to y is stable.
   for (VertexId x : graph_.neighbors(y)) {
-    if (!ctx.vstar.contains(x)) continue;
+    if (!ctx.vstar.contains(x)) {
+      // DoPost for a still-queued candidate: y's Forward counted it.
+      // The Backward origin was never in V* and counted nobody.
+      if (!origin) ctx.queue.uncount(x);
+      continue;
+    }
     if (state_.precedes_stable(x, y)) {
       state_.dout(x).fetch_sub(1, std::memory_order_relaxed);
     } else if (state_.din(x) > 0) {
@@ -278,7 +301,7 @@ void ParallelOrderMaintainer::insert_backward(WorkerCtx& ctx, VertexId w,
   OmItem* pre = &state_.item(w);
   ctx.rq.clear();
   ctx.inr.clear();
-  adjust_candidates(ctx, w, k);  // origin: only the DoPre branch fires
+  adjust_candidates(ctx, w, k, /*origin=*/true);  // only DoPre fires
   state_.dout(w).fetch_add(state_.din(w), std::memory_order_relaxed);
   state_.din(w) = 0;
 
@@ -286,7 +309,7 @@ void ParallelOrderMaintainer::insert_backward(WorkerCtx& ctx, VertexId w,
     const VertexId y = ctx.rq.front();
     ctx.rq.pop_front();
     ctx.vstar.erase(y);
-    adjust_candidates(ctx, y, k);
+    adjust_candidates(ctx, y, k, /*origin=*/false);
     // Move y right after `pre` in O_k; s is odd while y's position is in
     // flux so Parallel-Order readers (Alg. 6) retry instead of tearing.
     state_.s(y).fetch_add(1, std::memory_order_acq_rel);
@@ -445,11 +468,15 @@ bool ParallelOrderMaintainer::demote_if_unsupported(WorkerCtx& ctx, VertexId x,
   // Caller holds x's lock, has ensured mcd(x) is fresh and has applied
   // the decrement. Precondition: core(x) == k.
   if (state_.mcd(x).load(std::memory_order_relaxed) >= k) return false;
-  // <t, core> must change together (Alg. 8 line 22): publishing t=2
-  // before core=k-1 with release ordering gives readers who observe the
-  // new core a guaranteed view of t > 0.
-  state_.t(x).store(2, std::memory_order_relaxed);
+  // <t, core> must change together (Alg. 8 line 22; DESIGN.md §3.2
+  // item 2). kTPublishing brackets the core store: a reader that sees it
+  // retries, one that sees the new core sees t != 0, and one that sees
+  // t = 2 also sees the new core. Storing t = 2 before the core would
+  // let a reader pair the OLD core with the new t and take this
+  // demotion for a pending one from the level above.
+  state_.t(x).store(kTPublishing, std::memory_order_relaxed);
   state_.core(x).store(k - 1, std::memory_order_release);
+  state_.t(x).store(2, std::memory_order_release);
   state_.mcd(x).store(kMcdEmpty, std::memory_order_relaxed);
   ctx.vstar.insert(x);
   ctx.rq.push_back(x);
@@ -472,15 +499,7 @@ void ParallelOrderMaintainer::check_mcd(VertexId x, VertexId propagating_from) {
   const CoreValue cx = state_.core(x).load(std::memory_order_relaxed);
   CoreValue m = 0;
   for (VertexId y : graph_.neighbors(x)) {
-    // Consistent (core, t) snapshot: cores only decrease during the
-    // removal phase, so a stable double-read of core brackets t.
-    CoreValue cy;
-    std::int32_t ty;
-    for (;;) {
-      cy = state_.core(y).load(std::memory_order_acquire);
-      ty = state_.t(y).load(std::memory_order_acquire);
-      if (state_.core(y).load(std::memory_order_acquire) == cy) break;
-    }
+    const auto [cy, ty] = demotion_snapshot(state_, y);
     if (cy >= cx) {
       ++m;
       continue;
@@ -495,7 +514,12 @@ void ParallelOrderMaintainer::check_mcd(VertexId x, VertexId propagating_from) {
         state_.t(y).compare_exchange_strong(expected, 3,
                                             std::memory_order_acq_rel);
       }
-      if (state_.t(y).load(std::memory_order_acquire) == 0) --m;
+      // Uncount y if its demotion is over: t is back to 0, or y has
+      // been demoted again, which its lock allows only after the scan
+      // of this level ended. Either way that scan passed x without a
+      // visit (x is locked here), so y's decrement will never come.
+      const auto [cy_now, ty_now] = demotion_snapshot(state_, y);
+      if (cy_now != cy || ty_now == 0) --m;
     }
   }
   state_.mcd(x).store(m, std::memory_order_relaxed);

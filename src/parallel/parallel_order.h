@@ -179,7 +179,8 @@ class ParallelOrderMaintainer {
   void insert_forward(WorkerCtx& ctx, VertexId w, CoreValue k);
   void insert_backward(WorkerCtx& ctx, VertexId w, CoreValue k,
                        OrderList& list);
-  void adjust_candidates(WorkerCtx& ctx, VertexId y, CoreValue k);
+  void adjust_candidates(WorkerCtx& ctx, VertexId y, CoreValue k,
+                         bool origin);
   void finalize_insert(WorkerCtx& ctx, CoreValue k, OrderList& list)
       PARCORE_NO_THREAD_SAFETY_ANALYSIS;
 

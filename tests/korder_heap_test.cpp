@@ -41,17 +41,104 @@ TEST_F(KOrderHeapTest, DequeueFollowsKOrder) {
     EXPECT_TRUE(state_.precedes_stable(order[i - 1], order[i]));
 }
 
-TEST_F(KOrderHeapTest, DuplicateEnqueueIgnored) {
+TEST_F(KOrderHeapTest, DuplicateEnqueueAccumulates) {
+  // Each enqueue is one V* predecessor's Forward: the entry is shared,
+  // the count covers both.
   KOrderHeap q;
   q.reset(list_, &state_);
   q.enqueue(3);
   q.enqueue(3);
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_TRUE(q.contains(3));
-  VertexId v = q.dequeue(1);
+  CoreValue din = 0;
+  VertexId v = q.dequeue(1, &din);
   EXPECT_EQ(v, 3u);
+  EXPECT_EQ(din, 2);
   state_.lock(v).unlock();
   EXPECT_EQ(q.dequeue(1), kInvalidVertex);
+}
+
+TEST_F(KOrderHeapTest, DequeueHandsOverAndResetsCount) {
+  KOrderHeap q;
+  q.reset(list_, &state_);
+  q.enqueue(5);
+  q.enqueue(5);
+  q.enqueue(5);
+  CoreValue din = 0;
+  ASSERT_EQ(q.dequeue(1, &din), 5u);
+  state_.lock(5).unlock();
+  EXPECT_EQ(din, 3);
+  // The count left with the entry: a later enqueue starts afresh.
+  q.enqueue(5);
+  ASSERT_EQ(q.dequeue(1, &din), 5u);
+  state_.lock(5).unlock();
+  EXPECT_EQ(din, 1);
+}
+
+TEST_F(KOrderHeapTest, UncountStopsAtZeroAndKeepsEntry) {
+  KOrderHeap q;
+  q.reset(list_, &state_);
+  q.enqueue(6);
+  q.enqueue(6);
+  q.uncount(6);
+  q.uncount(6);
+  q.uncount(6);  // already 0: stays 0
+  q.uncount(2);  // not queued: no-op, and 2 stays unqueued
+  EXPECT_EQ(q.size(), 1u);
+  // A zero count does not unqueue: a new enqueue counts into the same
+  // entry rather than adding a second one.
+  q.enqueue(6);
+  EXPECT_EQ(q.size(), 1u);
+  CoreValue din = 0;
+  ASSERT_EQ(q.dequeue(1, &din), 6u);
+  state_.lock(6).unlock();
+  EXPECT_EQ(din, 1);
+  EXPECT_EQ(q.dequeue(1), kInvalidVertex);
+}
+
+TEST_F(KOrderHeapTest, StaleEntryDropsItsCount) {
+  KOrderHeap q;
+  q.reset(list_, &state_);
+  q.enqueue(2);
+  q.enqueue(2);
+  q.enqueue(4);
+  // Another worker promotes 2 past this level: its entry and its count
+  // leave the queue together.
+  state_.core(2).store(2, std::memory_order_release);
+  CoreValue din = 0;
+  ASSERT_EQ(q.dequeue(1, &din), 4u);
+  state_.lock(4).unlock();
+  EXPECT_EQ(din, 1);
+  EXPECT_TRUE(q.empty());
+  // Back at this level, 2 starts from a fresh count, not the dropped 2.
+  state_.core(2).store(1, std::memory_order_release);
+  q.enqueue(2);
+  ASSERT_EQ(q.dequeue(1, &din), 2u);
+  state_.lock(2).unlock();
+  EXPECT_EQ(din, 1);
+}
+
+TEST_F(KOrderHeapTest, CountsSurviveTableGrowth) {
+  // Enough queued vertices to force the membership table to rehash
+  // several times; every count must survive.
+  DynamicGraph g(300);
+  for (VertexId v = 0; v + 1 < 300; ++v) g.insert_edge(v, v + 1);
+  CoreState state;
+  state.initialize(g);
+  KOrderHeap q;
+  q.reset(state.levels().get(1), &state);
+  for (VertexId v = 0; v < 300; ++v)
+    for (VertexId c = 0; c <= v % 3; ++c) q.enqueue(v);
+  EXPECT_EQ(q.size(), 300u);
+  std::size_t popped = 0;
+  for (;;) {
+    CoreValue din = 0;
+    const VertexId v = q.dequeue(1, &din);
+    if (v == kInvalidVertex) break;
+    state.lock(v).unlock();
+    EXPECT_EQ(din, static_cast<CoreValue>(v % 3 + 1)) << "vertex " << v;
+    ++popped;
+  }
+  EXPECT_EQ(popped, 300u);
 }
 
 TEST_F(KOrderHeapTest, SkipsVerticesWithWrongCore) {
@@ -128,10 +215,16 @@ TEST_F(KOrderHeapTest, ResetClearsState) {
   KOrderHeap q;
   q.reset(list_, &state_);
   q.enqueue(1);
+  q.enqueue(1);
   q.reset(list_, &state_);
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.contains(1));
   EXPECT_EQ(q.dequeue(1), kInvalidVertex);
+  // Membership and count went too: 1 queues again, counted afresh.
+  q.enqueue(1);
+  CoreValue din = 0;
+  ASSERT_EQ(q.dequeue(1, &din), 1u);
+  state_.lock(1).unlock();
+  EXPECT_EQ(din, 1);
 }
 
 }  // namespace

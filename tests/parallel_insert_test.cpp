@@ -31,6 +31,24 @@ TEST(ParallelInsert, SingleEdgeBehavesLikeSequential) {
   expect_state_ok(m, "triangle");
 }
 
+void expect_insert_case(const test::InsertCase& c, const std::string& ctx) {
+  auto g = DynamicGraph::from_edges(c.n, c.edges);
+  ThreadTeam team(2);
+  ParallelOrderMaintainer m(g, team);
+  ASSERT_TRUE(m.insert_edge(c.insert.u, c.insert.v));
+  EXPECT_EQ(m.cores(), c.cores_after) << ctx;
+  test::expect_cores_match(g, m.cores(), ctx);
+  expect_state_ok(m, ctx);
+}
+
+TEST(ParallelInsert, BackwardOriginKeepsQueuedSuccessorCount) {
+  expect_insert_case(test::backward_origin_case(), "backward origin");
+}
+
+TEST(ParallelInsert, EvictedPredecessorUncountsQueuedCandidate) {
+  expect_insert_case(test::evicted_predecessor_case(), "evicted predecessor");
+}
+
 TEST(ParallelInsert, RejectsBadAndDuplicateEdges) {
   auto g = test::make_graph(3, {{0, 1}});
   ThreadTeam team(2);

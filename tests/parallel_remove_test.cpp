@@ -95,6 +95,33 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
+TEST(ParallelRemove, OversubscribedRepeatsKeepMcdExact) {
+  // Guards CheckMCD's (core, t) snapshot (DESIGN.md §3.2 item 2). If a
+  // demotion publishes t = 2 before lowering core, a neighbour's
+  // CheckMCD can pair the old core (one below its own) with the new t
+  // and count the vertex as a pending demotion from its own level.
+  // That demotion propagates one level lower and never visits it, so
+  // mcd stays one too high and a demotion is missed. The window is two
+  // stores wide; oversubscribing the team lets workers be preempted
+  // inside it. The workload is the sweep case (rmat, seed 2) that
+  // exposed it.
+  test::Workload w = test::make_workload(Family::kRmat, 500, 0.3, 2);
+  std::vector<Edge> all = w.base;
+  all.insert(all.end(), w.batch.begin(), w.batch.end());
+  constexpr int kWorkers = 32;
+  ThreadTeam team(kWorkers);
+  for (int rep = 0; rep < 400; ++rep) {
+    auto g = DynamicGraph::from_edges(w.n, all);
+    ParallelOrderMaintainer m(g, team);
+    m.remove_batch(w.batch, kWorkers);
+    std::string err;
+    ASSERT_TRUE(m.state().check_invariants(g, &err))
+        << "rep " << rep << ": " << err;
+    ASSERT_TRUE(verify_cores(g, m.cores(), &err))
+        << "rep " << rep << ": " << err;
+  }
+}
+
 TEST(ParallelRemove, AgreesWithSequentialOrderMaintainer) {
   test::Workload w = test::make_workload(Family::kRmat, 400, 0.25, 55);
   std::vector<Edge> all = w.base;

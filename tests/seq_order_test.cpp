@@ -49,6 +49,23 @@ TEST(SeqOrderInsert, PaperFigure2Example) {
   expect_state_ok(m, "figure2");
 }
 
+void expect_insert_case(const test::InsertCase& c, const std::string& ctx) {
+  auto g = DynamicGraph::from_edges(c.n, c.edges);
+  SeqOrderMaintainer m(g);
+  ASSERT_TRUE(m.insert_edge(c.insert.u, c.insert.v));
+  EXPECT_EQ(m.cores(), c.cores_after) << ctx;
+  test::expect_cores_match(g, m.cores(), ctx);
+  expect_state_ok(m, ctx);
+}
+
+TEST(SeqOrderInsert, BackwardOriginKeepsQueuedSuccessorCount) {
+  expect_insert_case(test::backward_origin_case(), "backward origin");
+}
+
+TEST(SeqOrderInsert, EvictedPredecessorUncountsQueuedCandidate) {
+  expect_insert_case(test::evicted_predecessor_case(), "evicted predecessor");
+}
+
 TEST(SeqOrderInsert, RejectsBadEdges) {
   auto g = test::make_graph(3, {{0, 1}});
   SeqOrderMaintainer m(g);

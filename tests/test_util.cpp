@@ -50,4 +50,20 @@ Workload make_workload(Family f, std::size_t n, double batch_fraction,
   return w;
 }
 
+InsertCase backward_origin_case() {
+  // Vertex 3 is a pendant (core 1); the rest is a 2-core around hub 2.
+  // Inserting (5, 0) closes the K4 {0, 2, 4, 5}.
+  return InsertCase{7,
+                    {{4, 1}, {2, 0}, {2, 3}, {1, 2}, {2, 4},
+                     {5, 4}, {6, 1}, {0, 4}, {5, 2}, {2, 6}},
+                    {5, 0},
+                    {3, 2, 3, 1, 3, 3, 2}};
+}
+
+InsertCase evicted_predecessor_case() {
+  // The 4-cycle 0-1-3-2 plus the chord (0, 3): no core changes.
+  return InsertCase{4, {{1, 0}, {0, 2}, {3, 2}, {3, 1}}, {0, 3},
+                    {2, 2, 2, 2}};
+}
+
 }  // namespace parcore::test

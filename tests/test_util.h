@@ -58,4 +58,26 @@ struct Workload {
 Workload make_workload(Family f, std::size_t n, double batch_fraction,
                        std::uint64_t seed);
 
+/// A graph plus one edge to insert. The two cases below pin the rules
+/// of the d*in counter in Backward (DESIGN.md §3.1); both maintainers
+/// run them.
+struct InsertCase {
+  std::size_t n = 0;
+  std::vector<Edge> edges;
+  Edge insert;
+  std::vector<CoreValue> cores_after;
+};
+
+/// A Backward origin with a queued core-k successor: origin 1 runs
+/// Backward while 2 waits with d*in 3 (from 0, 5, 4). Uncounting 2 for
+/// the origin, which never joined V*, drops it to 2, so 2 turns
+/// Backward and evicts 0, 4 and 5 instead of joining them in core 3.
+InsertCase backward_origin_case();
+
+/// A candidate whose V* predecessor Backward evicts before the
+/// candidate is dequeued: 0 forwards to 1, 2 and 3, then Backward from
+/// 1 evicts 0. Without the DoPost decrement 2 keeps 0's stale count,
+/// runs Backward and folds it into d+out(2), which ends one too high.
+InsertCase evicted_predecessor_case();
+
 }  // namespace parcore::test
