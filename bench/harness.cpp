@@ -338,16 +338,13 @@ Json engine_cell_json(const std::string& policy, int producers, int workers,
       .set("annihilated_pairs", std::uint64_t{r.stats.coalesce.annihilated_pairs})
       .set("duplicates", std::uint64_t{r.stats.coalesce.duplicates})
       .set("noops", std::uint64_t{r.stats.coalesce.noops})
-      .set("plan_batches", r.stats.plan.batches)
-      .set("plan_waves", r.stats.plan.waves)
-      .set("plan_steals", r.stats.plan.steals)
       // Per-phase pipeline decomposition (EngineStats::PhaseTotals,
-      // microseconds summed over every flush of the cell). The six
-      // phases partition each flush window, so their sum tracks the
+      // microseconds summed over every flush of the cell). The cell
+      // runs without durability or re-verification, so these five
+      // phases partition each flush window and their sum tracks the
       // cell's total flush time.
       .set("drain_us", r.stats.phases.drain_us)
       .set("coalesce_us", r.stats.phases.coalesce_us)
-      .set("plan_us", r.stats.phases.plan_us)
       .set("apply_us", r.stats.phases.apply_us)
       .set("om_compact_us", r.stats.phases.om_compact_us)
       .set("publish_us", r.stats.phases.publish_us)

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <utility>
-
-#include "parallel/batch_plan.h"
 
 namespace parcore::engine {
 
@@ -16,25 +13,10 @@ struct KeyInfo {
   UpdateKind last{UpdateKind::kInsert};
 };
 
-/// Sorts `edges` into the batch planner's (level, OM position) order.
-/// Keys are precomputed so the comparator stays branch-cheap (sorting
-/// with per-compare atomic label reads would dominate the drain).
-void sort_by_plan_key(std::vector<Edge>& edges, const CoreState& state) {
-  if (edges.size() < 2) return;
-  std::vector<std::pair<PlanSortKey, Edge>> keyed;
-  keyed.reserve(edges.size());
-  for (const Edge& e : edges) keyed.emplace_back(plan_sort_key(state, e), e);
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (std::size_t i = 0; i < edges.size(); ++i) edges[i] = keyed[i].second;
-}
-
 }  // namespace
 
 CoalescedBatch coalesce(std::span<const GraphUpdate> updates,
-                        const DynamicGraph& g, const CoreState* order_hint) {
+                        const DynamicGraph& g) {
   CoalescedBatch out;
   out.stats.raw = updates.size();
 
@@ -87,15 +69,6 @@ CoalescedBatch coalesce(std::span<const GraphUpdate> updates,
       out.inserts.push_back(e);
     else
       out.removes.push_back(e);
-  }
-  if (order_hint != nullptr) {
-    // Removes apply first, so their keys are computed against exactly
-    // the state the planner will see. The insert batch's keys only
-    // stay fresh when there are no removes to shift cores first —
-    // otherwise the planner would detect the drift and re-sort anyway,
-    // making a pre-sort here wasted work.
-    sort_by_plan_key(out.removes, *order_hint);
-    if (out.removes.empty()) sort_by_plan_key(out.inserts, *order_hint);
   }
   return out;
 }

@@ -23,10 +23,6 @@
 #include "graph/dynamic_graph.h"
 #include "support/types.h"
 
-namespace parcore {
-class CoreState;
-}
-
 namespace parcore::engine {
 
 /// Exact accounting: every raw update falls in exactly one bucket, so
@@ -57,20 +53,9 @@ struct CoalescedBatch {
 
 /// Coalesces `updates` (in drain order) against the current membership
 /// of `g`. Read-only on `g`; the caller must guarantee no concurrent
-/// mutation of `g` until the batch has been applied.
-///
-/// When `order_hint` is non-null the emitted batches are additionally
-/// sorted by the batch planner's locality key — affected level
-/// k = min(core(u), core(v)), then the OM position of the k-order-lower
-/// endpoint (parallel/batch_plan.h) — so BatchPlan::build detects a
-/// presorted input and skips its own sort: planning cost is amortised
-/// into the drain. The hint is read at flush quiescence. Removes apply
-/// first, so they are always pre-sorted; the insert batch is only
-/// pre-sorted when the flush carries no removes (otherwise its keys
-/// would go stale the moment the removes land and the planner would
-/// re-sort anyway).
+/// mutation of `g` until the batch has been applied. Both batches keep
+/// the first-seen order of their edges in `updates`.
 CoalescedBatch coalesce(std::span<const GraphUpdate> updates,
-                        const DynamicGraph& g,
-                        const CoreState* order_hint = nullptr);
+                        const DynamicGraph& g);
 
 }  // namespace parcore::engine

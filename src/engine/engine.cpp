@@ -46,7 +46,6 @@ StreamingEngine::StreamingEngine(DynamicGraph& g, ThreadTeam& team,
   obs_.om_reclaimed = &reg.counter("parcore_om_groups_reclaimed_total");
   obs_.worker_busy_us = &reg.counter("parcore_worker_busy_us_total");
   obs_.worker_idle_us = &reg.counter("parcore_worker_idle_us_total");
-  obs_.steal_chunks = &reg.counter("parcore_steal_chunks_total");
   obs_.epoch = &reg.gauge("parcore_epoch");
   obs_.threshold = &reg.gauge("parcore_flush_threshold");
   obs_.flush_us = &reg.histogram("parcore_flush_us");
@@ -327,13 +326,7 @@ std::uint64_t StreamingEngine::flush_locked() {
   queue_.drain(raw);
   const std::uint64_t t_drain = timer.elapsed_us();
 
-  // Plan mode: have the coalescer emit pre-bucketed batches (sorted by
-  // the planner's locality key) so planning cost is amortised into the
-  // drain — BatchPlan::build detects the order and skips its sort.
-  const bool planned =
-      opts_.maintainer.schedule == ScheduleMode::kPlan;
-  CoalescedBatch batch =
-      coalesce(raw, graph_, planned ? &maintainer_.state() : nullptr);
+  CoalescedBatch batch = coalesce(raw, graph_);
   const std::uint64_t t_coalesce = timer.elapsed_us();
 
   // Write-ahead: the coalesced ops are durable (group-fsync'd) BEFORE
@@ -353,24 +346,12 @@ std::uint64_t StreamingEngine::flush_locked() {
   const std::uint64_t t_wal = timer.elapsed_us();
 
   BatchResult ins, rem;
-  EngineStats::PlanAggregate plan_delta;
-  auto absorb_plan = [&] {
-    const PlanStats& p = maintainer_.last_plan_stats();
-    if (p.edges == 0) return;
-    ++plan_delta.batches;
-    plan_delta.buckets += p.buckets;
-    plan_delta.waves += p.waves;
-    plan_delta.overflow_edges += p.overflow_edges;
-    plan_delta.presorted += p.presorted ? 1 : 0;
-    plan_delta.steals += p.steals;
-  };
   // Worker attribution, accumulated across the (up to two) maintainer
   // calls of this flush: busy straight from the workers' own clocks,
   // idle as the dispatch wall each worker sat through minus its busy
   // share (clamped: the two clock sets can disagree by microseconds).
   auto absorb_timing = [&] {
     const ParallelOrderMaintainer::BatchTiming& t = maintainer_.last_timing();
-    span.plan_us += t.plan_us;
     span.worker_busy_us += t.busy_us;
     const std::uint64_t wall =
         static_cast<std::uint64_t>(t.workers) * t.dispatch_us;
@@ -392,13 +373,11 @@ std::uint64_t StreamingEngine::flush_locked() {
   };
   if (!batch.removes.empty()) {
     rem = maintainer_.remove_batch(batch.removes, opts_.workers);
-    absorb_plan();
     absorb_timing();
     absorb_changed();
   }
   if (!batch.inserts.empty()) {
     ins = maintainer_.insert_batch(batch.inserts, opts_.workers);
-    absorb_plan();
     absorb_timing();
     absorb_changed();
   }
@@ -455,9 +434,7 @@ std::uint64_t StreamingEngine::flush_locked() {
 
   const double flush_ms = timer.elapsed_ms();
 
-  // Finalise the span: phases are consecutive deltas of the one clock,
-  // except plan/apply — the maintainer reports its own plan-build cost,
-  // carved out of the batch window it ran in.
+  // Finalise the span: phases are consecutive deltas of the one clock.
   span.epoch = epoch;
   span.raw = raw.size();
   span.inserts = batch.inserts.size();
@@ -466,14 +443,11 @@ std::uint64_t StreamingEngine::flush_locked() {
   span.drain_us = t_drain - t_repair;
   span.coalesce_us = t_coalesce - t_drain;
   span.wal_us = t_wal - t_coalesce;
-  const std::uint64_t batch_window = t_apply - t_wal;
-  span.apply_us =
-      batch_window > span.plan_us ? batch_window - span.plan_us : 0;
+  span.apply_us = t_apply - t_wal;
   span.om_compact_us = t_compact - t_apply;
   span.publish_us = t_publish - t_compact;
   span.checkpoint_us = t_checkpoint - t_publish;
   span.flush_us = static_cast<std::uint64_t>(flush_ms * 1000.0);
-  span.steal_chunks = plan_delta.steals;
 
   // Flush-lag overload detector: a backlog that already exceeds the
   // flush threshold the moment a flush completes means producers are
@@ -502,16 +476,9 @@ std::uint64_t StreamingEngine::flush_locked() {
       stats_.memory_epoch = epoch;
     }
     stats_.coalesce += batch.stats;
-    stats_.plan.batches += plan_delta.batches;
-    stats_.plan.buckets += plan_delta.buckets;
-    stats_.plan.waves += plan_delta.waves;
-    stats_.plan.overflow_edges += plan_delta.overflow_edges;
-    stats_.plan.presorted += plan_delta.presorted;
-    stats_.plan.steals += plan_delta.steals;
     stats_.phases.drain_us += span.drain_us;
     stats_.phases.coalesce_us += span.coalesce_us;
     stats_.phases.wal_us += span.wal_us;
-    stats_.phases.plan_us += span.plan_us;
     stats_.phases.apply_us += span.apply_us;
     stats_.phases.om_compact_us += span.om_compact_us;
     stats_.phases.publish_us += span.publish_us;
@@ -561,7 +528,6 @@ std::uint64_t StreamingEngine::flush_locked() {
   obs_.om_reclaimed->add(om_reclaimed);
   obs_.worker_busy_us->add(span.worker_busy_us);
   obs_.worker_idle_us->add(span.worker_idle_us);
-  obs_.steal_chunks->add(span.steal_chunks);
   obs_.epoch->set(static_cast<std::int64_t>(epoch));
   obs_.threshold->set(static_cast<std::int64_t>(
       threshold_.load(std::memory_order_relaxed)));
@@ -829,21 +795,6 @@ StreamingEngine::Options options_from_env(StreamingEngine::Options base) {
       env_int("PARCORE_ENGINE_SNAPSHOT_PAGE",
               static_cast<long>(base.snapshot_page)),
       1L));
-  if (env_present("PARCORE_ENGINE_PLAN"))
-    base.maintainer.schedule = env_flag("PARCORE_ENGINE_PLAN")
-                                   ? ScheduleMode::kPlan
-                                   : ScheduleMode::kDynamic;
-  // Clamped: a stray negative/huge value would otherwise silently
-  // degrade every planned batch (e.g. a chunk size cast to ~SIZE_MAX
-  // forces the serial fast path).
-  base.maintainer.plan.max_waves = static_cast<int>(std::clamp(
-      env_int("PARCORE_ENGINE_PLAN_MAX_WAVES",
-              static_cast<long>(base.maintainer.plan.max_waves)),
-      1L, 1L << 20));
-  base.maintainer.plan.chunk_edges = static_cast<std::size_t>(std::clamp(
-      env_int("PARCORE_ENGINE_PLAN_CHUNK",
-              static_cast<long>(base.maintainer.plan.chunk_edges)),
-      1L, 4096L));
   // Durability knobs (docs/CONFIG.md, docs/DURABILITY.md).
   base.durability.dir = env_str("PARCORE_WAL_DIR", base.durability.dir);
   base.durability.checkpoint_interval = static_cast<std::size_t>(std::max(

@@ -112,28 +112,14 @@ struct EngineStats {
                               // coalescer pre-filters no-ops)
   std::uint64_t om_compactions = 0;        // quiescent compact_all() runs
   std::uint64_t om_groups_reclaimed = 0;   // OM groups freed by them
-  /// Conflict-aware dispatch accounting, summed over every planned
-  /// batch (insert and remove batches plan separately). All zero unless
-  /// Options::maintainer.schedule == ScheduleMode::kPlan.
-  struct PlanAggregate {
-    std::uint64_t batches = 0;         // planned batches executed
-    std::uint64_t buckets = 0;         // summed distinct affected levels
-    std::uint64_t waves = 0;           // summed conflict-free waves
-    std::uint64_t overflow_edges = 0;  // edges past max_waves (hubs)
-    std::uint64_t presorted = 0;       // batches where the coalescer's
-                                       // pre-bucketing skipped the sort
-    std::uint64_t steals = 0;          // chunks run by a non-owner
-  };
-  PlanAggregate plan;
   /// Per-phase wall time summed over every flush, microseconds. The
-  /// nine phases partition each flush window (obs/trace.h FlushSpan),
+  /// eight phases partition each flush window (obs/trace.h FlushSpan),
   /// so their sums track `flush_us`'s total up to per-flush rounding.
   /// wal_us / checkpoint_us stay 0 unless durability is enabled.
   struct PhaseTotals {
     std::uint64_t drain_us = 0;
     std::uint64_t coalesce_us = 0;
     std::uint64_t wal_us = 0;
-    std::uint64_t plan_us = 0;
     std::uint64_t apply_us = 0;
     std::uint64_t om_compact_us = 0;
     std::uint64_t publish_us = 0;
@@ -476,7 +462,6 @@ class StreamingEngine {
     obs::Counter* om_reclaimed = nullptr;
     obs::Counter* worker_busy_us = nullptr;
     obs::Counter* worker_idle_us = nullptr;
-    obs::Counter* steal_chunks = nullptr;
     obs::Gauge* epoch = nullptr;
     obs::Gauge* threshold = nullptr;
     obs::Histogram* flush_us = nullptr;

@@ -108,7 +108,6 @@ std::string trace_json_line(const FlushSpan& s) {
   field("drain_us", s.drain_us);
   field("coalesce_us", s.coalesce_us);
   field("wal_us", s.wal_us);
-  field("plan_us", s.plan_us);
   field("apply_us", s.apply_us);
   field("om_compact_us", s.om_compact_us);
   field("publish_us", s.publish_us);
@@ -117,7 +116,6 @@ std::string trace_json_line(const FlushSpan& s) {
   field("workers", s.workers);
   field("worker_busy_us", s.worker_busy_us);
   field("worker_idle_us", s.worker_idle_us);
-  field("steal_chunks", s.steal_chunks);
   out += '}';
   return out;
 }

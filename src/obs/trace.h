@@ -1,10 +1,10 @@
 // Structured per-flush spans: one record per engine flush with the
-// nested phase timings (drain / coalesce / wal / plan / apply /
+// nested phase timings (repair / drain / coalesce / wal / apply /
 // om-compact / publish / checkpoint), batch composition, COW publish
-// cost and worker busy/steal/
-// idle attribution. The engine keeps the most recent spans in a fixed
-// ring (`FlushTrace`) and can additionally stream every span as a JSON
-// line (`--trace-out`; schema in docs/OBSERVABILITY.md).
+// cost and worker busy/idle attribution. The engine keeps the most
+// recent spans in a fixed ring (`FlushTrace`) and can additionally
+// stream every span as a JSON line (`--trace-out`; schema in
+// docs/OBSERVABILITY.md).
 //
 // The ring is deliberately simple: one spinlock held for a struct copy,
 // written once per flush (ms-scale cadence) and drained by readers via
@@ -29,7 +29,7 @@ struct FlushSpan {
   std::uint64_t removes = 0;   // coalesced remove batch size
   std::uint64_t pages_cloned = 0;  // COW pages cloned by the publish
 
-  // Phase wall times, microseconds. The nine phases partition the
+  // Phase wall times, microseconds. The eight phases partition the
   // flush window: they sum to flush_us up to integer rounding (the
   // acceptance bound is 10%; see docs/OBSERVABILITY.md "trace schema").
   // wal_us and checkpoint_us stay 0 unless durability is enabled;
@@ -38,8 +38,7 @@ struct FlushSpan {
   std::uint64_t drain_us = 0;
   std::uint64_t coalesce_us = 0;
   std::uint64_t wal_us = 0;        // WAL append + group fsync (durability)
-  std::uint64_t plan_us = 0;       // batch-plan build (kPlan mode; else 0)
-  std::uint64_t apply_us = 0;      // maintainer batches minus plan build
+  std::uint64_t apply_us = 0;      // maintainer insert/remove batches
   std::uint64_t om_compact_us = 0; // quiescent OM compaction + mem sample
   std::uint64_t publish_us = 0;    // COW publish + snapshot wrap
   std::uint64_t checkpoint_us = 0; // periodic checkpoint (durability)
@@ -47,12 +46,11 @@ struct FlushSpan {
 
   // Worker attribution for the apply phase, summed over this flush's
   // batch dispatches: busy is time inside the dispatch loops, idle is
-  // workers * dispatch wall - busy (waiting on the team, exhausted
-  // cursors, straggler tails), steals counts chunks run by a non-owner.
+  // workers * dispatch wall - busy (waiting on the team, straggler
+  // tails).
   std::uint32_t workers = 0;
   std::uint64_t worker_busy_us = 0;
   std::uint64_t worker_idle_us = 0;
-  std::uint64_t steal_chunks = 0;
 };
 
 /// Fixed-capacity ring of the most recent flush spans.

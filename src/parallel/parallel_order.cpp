@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "support/timer.h"
 #include "sync/backoff.h"
 
 namespace parcore {
@@ -75,7 +76,6 @@ void ParallelOrderMaintainer::lock_endpoints(VertexId a, VertexId b) {
 template <typename Fn>
 BatchResult ParallelOrderMaintainer::run_batch(std::span<const Edge> edges,
                                                int workers, Fn&& op) {
-  last_plan_ = PlanStats{};
   last_timing_ = BatchTiming{};
   ++changed_epoch_;
   last_changed_.clear();  // keeps capacity across steady-state batches
@@ -87,79 +87,25 @@ BatchResult ParallelOrderMaintainer::run_batch(std::span<const Edge> edges,
   alignas(64) std::atomic<std::size_t> applied{0};
   alignas(64) std::atomic<std::size_t> next{0};
   alignas(64) std::atomic<std::uint64_t> busy_us{0};
-  switch (opts_.schedule) {
-    case ScheduleMode::kPlan: {
-      // Effective parallelism: claimers beyond the team or the hardware
-      // only add contention. When it degenerates to 1 the plan drops
-      // wave colouring and becomes a pure locality schedule — the
-      // dispatch then stays on the calling thread, skipping the team
-      // wake-up entirely (measurably cheaper when workers oversubscribe
-      // a small machine).
-      const int effective = std::max(
-          1, std::min({workers, team_.max_workers(),
-                       ThreadTeam::hardware_workers()}));
-      WallTimer build_timer;
-      plan_.build(edges, state_, opts_.plan, /*locality_only=*/effective == 1);
-      last_timing_.plan_us = build_timer.elapsed_us();
-      WallTimer dispatch_timer;
-      r.applied = plan_.execute(team_, effective, [&](int w, const Edge& e) {
-        return op(ctxs_[static_cast<std::size_t>(w)], e);
-      });
-      last_timing_.dispatch_us = dispatch_timer.elapsed_us();
-      last_plan_ = plan_.stats();
-      last_timing_.busy_us = last_plan_.busy_us;
-      last_timing_.workers = effective;
-      r.skipped = edges.size() - r.applied;
-      collect_changed();
-      return r;
+  // Edges are claimed one at a time off the shared counter, so a worker
+  // stuck on an expensive edge never holds back a share of cheap ones
+  // (DESIGN.md §9).
+  WallTimer dispatch_timer;
+  team_.run(workers, [&](int w) {
+    WallTimer busy;
+    WorkerCtx& ctx = ctxs_[static_cast<std::size_t>(w)];
+    std::size_t done = 0;
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= edges.size()) break;
+      if (op(ctx, edges[i])) ++done;
     }
-    case ScheduleMode::kStatic: {
-      // Paper Algorithm 5: split ΔE into P contiguous parts. P must
-      // match what ThreadTeam::run will actually launch — a share
-      // assigned past team capacity would silently never execute.
-      const std::size_t p = static_cast<std::size_t>(
-          std::max(1, std::min({workers, team_.max_workers(), 1024})));
-      WallTimer dispatch_timer;
-      team_.run(workers, [&](int w) {
-        WallTimer busy;
-        WorkerCtx& ctx = ctxs_[static_cast<std::size_t>(w)];
-        const std::size_t base = edges.size() / p;
-        const std::size_t extra = edges.size() % p;
-        const auto uw = static_cast<std::size_t>(w);
-        const std::size_t begin = uw * base + std::min(uw, extra);
-        const std::size_t len = base + (uw < extra ? 1 : 0);
-        std::size_t done = 0;
-        for (std::size_t i = begin; i < begin + len; ++i)
-          if (op(ctx, edges[i])) ++done;
-        applied.fetch_add(done, std::memory_order_relaxed);
-        busy_us.fetch_add(busy.elapsed_us(), std::memory_order_relaxed);
-      });
-      last_timing_.dispatch_us = dispatch_timer.elapsed_us();
-      last_timing_.busy_us = busy_us.load(std::memory_order_relaxed);
-      last_timing_.workers = static_cast<int>(p);
-      break;
-    }
-    case ScheduleMode::kDynamic: {
-      WallTimer dispatch_timer;
-      team_.run(workers, [&](int w) {
-        WallTimer busy;
-        WorkerCtx& ctx = ctxs_[static_cast<std::size_t>(w)];
-        std::size_t done = 0;
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= edges.size()) break;
-          if (op(ctx, edges[i])) ++done;
-        }
-        applied.fetch_add(done, std::memory_order_relaxed);
-        busy_us.fetch_add(busy.elapsed_us(), std::memory_order_relaxed);
-      });
-      last_timing_.dispatch_us = dispatch_timer.elapsed_us();
-      last_timing_.busy_us = busy_us.load(std::memory_order_relaxed);
-      last_timing_.workers =
-          std::max(1, std::min(workers, team_.max_workers()));
-      break;
-    }
-  }
+    applied.fetch_add(done, std::memory_order_relaxed);
+    busy_us.fetch_add(busy.elapsed_us(), std::memory_order_relaxed);
+  });
+  last_timing_.dispatch_us = dispatch_timer.elapsed_us();
+  last_timing_.busy_us = busy_us.load(std::memory_order_relaxed);
+  last_timing_.workers = std::max(1, std::min(workers, team_.max_workers()));
   r.applied = applied.load(std::memory_order_relaxed);
   r.skipped = edges.size() - r.applied;
   collect_changed();

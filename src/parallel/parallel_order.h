@@ -29,7 +29,6 @@
 
 #include "graph/dynamic_graph.h"
 #include "maint/core_state.h"
-#include "parallel/batch_plan.h"
 #include "parallel/korder_heap.h"
 #include "support/histogram.h"
 #include "support/types.h"
@@ -44,21 +43,11 @@ struct BatchResult {
   std::size_t skipped = 0;  // self-loops, duplicates, missing edges
 };
 
-/// How a batch is split across workers (DESIGN.md §9):
-///   kDynamic — edges claimed one at a time off a shared counter
-///              (default; best when per-edge costs are skewed);
-///   kStatic  — the paper's Algorithm 5 contiguous P-way split;
-///   kPlan    — conflict-aware plan: level buckets, vertex-disjoint
-///              waves, OM-sorted chunks with stealing (batch_plan.h).
-enum class ScheduleMode { kDynamic, kStatic, kPlan };
-
 class ParallelOrderMaintainer {
  public:
   struct Options {
     CoreState::Options state{};
     bool collect_stats = false;  // Fig. 1 histograms
-    ScheduleMode schedule = ScheduleMode::kDynamic;
-    PlanOptions plan{};  // used when schedule == kPlan
     /// Non-null: the constructor restores this saved (core, k-order)
     /// image instead of running bz_decompose — the durability recovery
     /// path (docs/DURABILITY.md). Read during construction only (the
@@ -119,21 +108,15 @@ class ParallelOrderMaintainer {
   SizeHistogram insert_vstar_histogram() const;
   SizeHistogram remove_vstar_histogram() const;
 
-  /// Plan of the most recent batch (zeroed at every batch start; stays
-  /// zero unless schedule == kPlan). The engine aggregates these into
-  /// EngineStats; `parcore_cli serve --plan` prints them per flush.
-  const PlanStats& last_plan_stats() const { return last_plan_; }
-
   /// Wall-time decomposition of the most recent batch (zeroed at every
-  /// batch start; valid at quiescence). `plan_us` is the kPlan build
-  /// cost; `dispatch_us` is the wall time of the worker dispatch
-  /// (team.run / plan execute — the batch op loops only; removal dout
-  /// repair is outside it but inside the engine's apply phase);
+  /// batch start; valid at quiescence). `dispatch_us` is the wall time
+  /// of the worker dispatch (team.run — the batch op loops only;
+  /// removal dout repair is outside it but inside the engine's apply
+  /// phase);
   /// `busy_us` sums each worker's time inside its dispatch loop, so
   /// `workers * dispatch_us - busy_us` is the idle/straggler slack the
   /// flush trace reports (obs/trace.h).
   struct BatchTiming {
-    std::uint64_t plan_us = 0;
     std::uint64_t dispatch_us = 0;
     std::uint64_t busy_us = 0;
     int workers = 0;
@@ -204,8 +187,6 @@ class ParallelOrderMaintainer {
   Options opts_;
   CoreState state_;
   std::vector<WorkerCtx> ctxs_;
-  BatchPlan plan_;
-  PlanStats last_plan_;
   BatchTiming last_timing_;
 
   // Epoch-marked membership for deduplicating touched sets across

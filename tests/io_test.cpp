@@ -9,6 +9,7 @@
 #include <fstream>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -474,6 +475,16 @@ TEST(Cli, EverySubcommandRejectsUnknownOptionsWithExit2) {
     EXPECT_EQ(cli::cli_main({cmd, "--definitely-not-an-option", "x"}), 2)
         << cmd;
     EXPECT_EQ(cli::cli_main({cmd, "--help"}), 0) << cmd;
+  }
+  // A flag the subcommand does not define is rejected even when the rest
+  // of the line is a valid run: `--plan` is no option of any command.
+  const std::string toy = fixture("toy.txt");
+  for (const std::vector<std::string>& argv :
+       std::vector<std::vector<std::string>>{
+           {"maintain", "--input", toy, "--plan"},
+           {"serve", "--input", fixture("toy_temporal.txt"), "--plan"},
+           {"bench", "--input", toy, "--ops", "64", "--plan"}}) {
+    EXPECT_EQ(cli::cli_main(argv), 2) << argv[0];
   }
 }
 

@@ -301,23 +301,21 @@ TEST(ObsExportPlain, TraceJsonLineGolden) {
   s.drain_us = 10;
   s.coalesce_us = 20;
   s.wal_us = 5;
-  s.plan_us = 30;
   s.apply_us = 40;
   s.om_compact_us = 50;
   s.publish_us = 60;
   s.checkpoint_us = 8;
-  s.flush_us = 231;
+  s.flush_us = 201;
   s.workers = 4;
   s.worker_busy_us = 120;
   s.worker_idle_us = 40;
-  s.steal_chunks = 2;
   EXPECT_EQ(trace_json_line(s),
             "{\"epoch\":7,\"raw\":100,\"inserts\":60,\"removes\":30,"
             "\"pages_cloned\":5,\"repair_us\":3,\"drain_us\":10,"
-            "\"coalesce_us\":20,\"wal_us\":5,\"plan_us\":30,\"apply_us\":40,"
+            "\"coalesce_us\":20,\"wal_us\":5,\"apply_us\":40,"
             "\"om_compact_us\":50,\"publish_us\":60,\"checkpoint_us\":8,"
-            "\"flush_us\":231,\"workers\":4,\"worker_busy_us\":120,"
-            "\"worker_idle_us\":40,\"steal_chunks\":2}");
+            "\"flush_us\":201,\"workers\":4,\"worker_busy_us\":120,"
+            "\"worker_idle_us\":40}");
 }
 
 TEST(ObsHttpTest, ServeAndFetchRoundTrip) {

@@ -80,17 +80,23 @@ TEST(OmParallel, ReadersDuringMutations) {
 
   std::atomic<bool> stop{false};
   std::atomic<long> checks{0};
+  std::atomic<int> started{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < 4; ++r)
     readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
+      started.fetch_add(1, std::memory_order_relaxed);
+      do {
         ASSERT_TRUE(OrderList::precedes(lo, hi));
         ASSERT_FALSE(OrderList::precedes(hi, lo));
         checks.fetch_add(1, std::memory_order_relaxed);
-      }
+      } while (!stop.load(std::memory_order_relaxed));
     });
 
   std::thread writer([&] {
+    // Churn only once every reader runs: on a loaded host the writer
+    // could otherwise finish before any reader was scheduled.
+    while (started.load(std::memory_order_relaxed) < 4)
+      std::this_thread::yield();
     for (std::size_t i = 0; i < 4096; ++i) {
       OmItem* it = &items[2 + i];
       it->vertex = static_cast<VertexId>(2 + i);

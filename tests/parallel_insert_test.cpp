@@ -149,17 +149,6 @@ TEST(ParallelInsert, SameSubcoreContention) {
   expect_state_ok(m, "contention");
 }
 
-TEST(ParallelInsert, StaticPartitionMatches) {
-  test::Workload w = test::make_workload(Family::kEr, 400, 0.3, 7);
-  auto g = DynamicGraph::from_edges(w.n, w.base);
-  ThreadTeam team(4);
-  ParallelOrderMaintainer::Options opts;
-  opts.schedule = ScheduleMode::kStatic;  // paper's Algorithm 5 partitioning
-  ParallelOrderMaintainer m(g, team, opts);
-  m.insert_batch(w.batch, 4);
-  test::expect_cores_match(g, m.cores(), "static partition");
-}
-
 TEST(ParallelInsert, CollectStatsHistogramsCover) {
   test::Workload w = test::make_workload(Family::kBa, 300, 0.2, 11);
   auto g = DynamicGraph::from_edges(w.n, w.base);

@@ -1,24 +1,17 @@
-// Scheduling-mode convergence (ISSUE 4): every dispatch mode — dynamic
-// counter, static Algorithm-5 split, and the conflict-aware batch plan
-// — must drive racing workers to cores identical to a fresh
-// bz_decompose on insert, remove, and mixed batches. CI runs this file
-// under both TSan and ASan. Plus BatchPlan unit coverage: wave
-// vertex-disjointness, edge preservation, overflow capping, presorted
-// detection, and execute() dispatch accounting.
+// Batch dispatch convergence: racing workers claiming edges off the
+// shared counter must drive cores to exactly a fresh bz_decompose on
+// insert, remove, mixed, hub-heavy and repeated small batches, with the
+// k-order invariants intact afterwards. CI runs this file under both
+// TSan and ASan and repeats it in the maintainer stress step.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
 #include <set>
-#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "decomp/bz.h"
 #include "gen/generators.h"
 #include "graph/edge_list.h"
-#include "parallel/batch_plan.h"
 #include "parallel/parallel_order.h"
 #include "test_util.h"
 
@@ -27,71 +20,53 @@ namespace {
 
 using test::Family;
 
-constexpr std::array<std::pair<ScheduleMode, const char*>, 3> kModes{{
-    {ScheduleMode::kDynamic, "dynamic"},
-    {ScheduleMode::kStatic, "static"},
-    {ScheduleMode::kPlan, "plan"},
-}};
-
-ParallelOrderMaintainer::Options mode_opts(ScheduleMode mode) {
-  ParallelOrderMaintainer::Options opts;
-  opts.schedule = mode;
-  return opts;
+TEST(SchedulerStress, InsertBatchConverges) {
+  test::Workload w = test::make_workload(Family::kRmat, 600, 0.35, 19);
+  auto g = DynamicGraph::from_edges(w.n, w.base);
+  ThreadTeam team(8);
+  ParallelOrderMaintainer m(g, team);
+  BatchResult r = m.insert_batch(w.batch, 8);
+  EXPECT_EQ(r.applied, w.batch.size());
+  test::expect_cores_match(g, m.cores(), "insert");
+  std::string err;
+  ASSERT_TRUE(m.state().check_invariants(g, &err)) << err;
 }
 
-TEST(SchedulerStress, InsertBatchConvergesUnderAllModes) {
-  for (const auto& [mode, name] : kModes) {
-    test::Workload w = test::make_workload(Family::kRmat, 600, 0.35, 19);
-    auto g = DynamicGraph::from_edges(w.n, w.base);
-    ThreadTeam team(8);
-    ParallelOrderMaintainer m(g, team, mode_opts(mode));
-    BatchResult r = m.insert_batch(w.batch, 8);
-    EXPECT_EQ(r.applied, w.batch.size()) << name;
-    test::expect_cores_match(g, m.cores(), std::string("insert/") + name);
-    std::string err;
-    ASSERT_TRUE(m.state().check_invariants(g, &err)) << name << ": " << err;
-  }
-}
-
-TEST(SchedulerStress, RemoveBatchConvergesUnderAllModes) {
-  for (const auto& [mode, name] : kModes) {
-    test::Workload w = test::make_workload(Family::kEr, 500, 0.4, 23);
-    // Remove from the full graph so the batch edges all exist.
-    std::vector<Edge> all = w.base;
-    all.insert(all.end(), w.batch.begin(), w.batch.end());
-    auto g = DynamicGraph::from_edges(w.n, all);
-    ThreadTeam team(8);
-    ParallelOrderMaintainer m(g, team, mode_opts(mode));
-    BatchResult r = m.remove_batch(w.batch, 8);
-    EXPECT_EQ(r.applied, w.batch.size()) << name;
-    test::expect_cores_match(g, m.cores(), std::string("remove/") + name);
-    std::string err;
-    ASSERT_TRUE(m.state().check_invariants(g, &err)) << name << ": " << err;
-  }
+TEST(SchedulerStress, RemoveBatchConverges) {
+  test::Workload w = test::make_workload(Family::kEr, 500, 0.4, 23);
+  // Remove from the full graph so the batch edges all exist.
+  std::vector<Edge> all = w.base;
+  all.insert(all.end(), w.batch.begin(), w.batch.end());
+  auto g = DynamicGraph::from_edges(w.n, all);
+  ThreadTeam team(8);
+  ParallelOrderMaintainer m(g, team);
+  BatchResult r = m.remove_batch(w.batch, 8);
+  EXPECT_EQ(r.applied, w.batch.size());
+  test::expect_cores_match(g, m.cores(), "remove");
+  std::string err;
+  ASSERT_TRUE(m.state().check_invariants(g, &err)) << err;
 }
 
 TEST(SchedulerStress, MixedAlternatingBatchesConverge) {
-  for (const auto& [mode, name] : kModes) {
-    test::Workload w = test::make_workload(Family::kBa, 500, 0.4, 31);
-    auto g = DynamicGraph::from_edges(w.n, w.base);
-    ThreadTeam team(8);
-    ParallelOrderMaintainer m(g, team, mode_opts(mode));
-    auto parts = split_batches(w.batch, 6);
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      m.insert_batch(parts[i], 8);
-      if (i % 2 == 1) m.remove_batch(parts[i - 1], 8);
-    }
-    test::expect_cores_match(g, m.cores(), std::string("mixed/") + name);
-    std::string err;
-    ASSERT_TRUE(m.state().check_invariants(g, &err, /*check_cores=*/true))
-        << name << ": " << err;
+  test::Workload w = test::make_workload(Family::kBa, 500, 0.4, 31);
+  auto g = DynamicGraph::from_edges(w.n, w.base);
+  ThreadTeam team(8);
+  ParallelOrderMaintainer m(g, team);
+  auto parts = split_batches(w.batch, 6);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    m.insert_batch(parts[i], 8);
+    if (i % 2 == 1) m.remove_batch(parts[i - 1], 8);
   }
+  test::expect_cores_match(g, m.cores(), "mixed");
+  std::string err;
+  ASSERT_TRUE(m.state().check_invariants(g, &err, /*check_cores=*/true))
+      << err;
 }
 
-TEST(SchedulerStress, HubHeavyBatchWithTinyWaveBudget) {
-  // A handful of hubs own most batch edges: the plan's overflow wave
-  // (deliberately tiny max_waves) and 1-edge chunks get exercised while
-  // racing 8 workers; final cores must still match bz_decompose.
+TEST(SchedulerStress, HubHeavyBatchConverges) {
+  // A handful of hubs own most batch edges, so 8 racing workers keep
+  // colliding on the same endpoint locks; final cores must still match
+  // bz_decompose after the insert and after removing it again.
   Rng rng(77);
   std::vector<Edge> base = gen_erdos_renyi(800, 2400, rng);
   canonicalize_edges(base);
@@ -105,233 +80,35 @@ TEST(SchedulerStress, HubHeavyBatchWithTinyWaveBudget) {
       if (e.u != e.v && have.insert(edge_key(e)).second) batch.push_back(e);
     }
   }
-  for (const auto& [mode, name] : kModes) {
-    auto g = DynamicGraph::from_edges(800, base);
-    ThreadTeam team(8);
-    ParallelOrderMaintainer::Options opts = mode_opts(mode);
-    opts.plan.max_waves = 4;   // force most hub edges into overflow
-    opts.plan.chunk_edges = 1; // maximal claim traffic
-    ParallelOrderMaintainer m(g, team, opts);
-    BatchResult ins = m.insert_batch(batch, 8);
-    EXPECT_EQ(ins.applied, batch.size()) << name;
-    test::expect_cores_match(g, m.cores(), std::string("hub insert/") + name);
-    if (mode == ScheduleMode::kPlan) {
-      const PlanStats& p = m.last_plan_stats();
-      EXPECT_EQ(p.edges, batch.size()) << name;
-      if (p.locality_only) {
-        // Single hardware thread: the maintainer degraded to the
-        // bucket-order plan (wave colouring can't pay serially).
-        EXPECT_EQ(p.waves, 1u) << name;
-      } else {
-        EXPECT_GT(p.overflow_edges, 0u) << name;
-        EXPECT_LE(p.waves, 4u) << name;
-      }
-    }
-    BatchResult rem = m.remove_batch(batch, 8);
-    EXPECT_EQ(rem.applied, batch.size()) << name;
-    test::expect_cores_match(g, m.cores(), std::string("hub remove/") + name);
-    std::string err;
-    ASSERT_TRUE(m.state().check_invariants(g, &err)) << name << ": " << err;
-  }
+  auto g = DynamicGraph::from_edges(800, base);
+  ThreadTeam team(8);
+  ParallelOrderMaintainer m(g, team);
+  BatchResult ins = m.insert_batch(batch, 8);
+  EXPECT_EQ(ins.applied, batch.size());
+  test::expect_cores_match(g, m.cores(), "hub insert");
+  BatchResult rem = m.remove_batch(batch, 8);
+  EXPECT_EQ(rem.applied, batch.size());
+  test::expect_cores_match(g, m.cores(), "hub remove");
+  std::string err;
+  ASSERT_TRUE(m.state().check_invariants(g, &err)) << err;
 }
 
-TEST(SchedulerStress, PlanModeRepeatedBatchesReuseScratch) {
-  // Steady-state flush shape: many small planned batches through one
-  // maintainer (plan + repair buffers must reset correctly per batch).
+TEST(SchedulerStress, RepeatedSmallBatchesReuseScratch) {
+  // Steady-state flush shape: many small batches through one maintainer
+  // (per-worker and repair buffers must reset correctly per batch).
   test::Workload w = test::make_workload(Family::kRmat, 400, 0.5, 43);
   auto g = DynamicGraph::from_edges(w.n, w.base);
   ThreadTeam team(8);
-  ParallelOrderMaintainer m(g, team, mode_opts(ScheduleMode::kPlan));
+  ParallelOrderMaintainer m(g, team);
   auto parts = split_batches(w.batch, 10);
   for (int round = 0; round < 10; ++round) {
     m.insert_batch(parts[static_cast<std::size_t>(round)], 8);
     m.remove_batch(parts[static_cast<std::size_t>(round)], 8);
   }
-  test::expect_cores_match(g, m.cores(), "plan steady state");
+  test::expect_cores_match(g, m.cores(), "steady state");
   std::string err;
   ASSERT_TRUE(m.state().check_invariants(g, &err, /*check_cores=*/true))
       << err;
-}
-
-// ---------------------------------------------------------------------------
-// BatchPlan unit coverage
-// ---------------------------------------------------------------------------
-
-class BatchPlanTest : public ::testing::Test {
- protected:
-  void init(std::size_t n, const std::vector<Edge>& edges) {
-    graph_ = DynamicGraph::from_edges(n, edges);
-    state_.initialize(graph_);
-  }
-
-  DynamicGraph graph_{0};
-  CoreState state_;
-};
-
-std::multiset<std::uint64_t> edge_multiset(std::span<const Edge> edges) {
-  std::multiset<std::uint64_t> keys;
-  for (const Edge& e : edges) keys.insert(edge_key(e));
-  return keys;
-}
-
-TEST_F(BatchPlanTest, WavesAreVertexDisjointAndPreserveEdges) {
-  Rng rng(5);
-  std::vector<Edge> base = gen_erdos_renyi(300, 900, rng);
-  canonicalize_edges(base);
-  init(300, base);
-  std::vector<Edge> batch = gen_erdos_renyi(300, 400, rng);
-  canonicalize_edges(batch);
-
-  BatchPlan plan;
-  plan.build(batch, state_, PlanOptions{});
-  const PlanStats& s = plan.stats();
-  EXPECT_EQ(s.edges, batch.size());
-  EXPECT_GT(s.buckets, 0u);
-  EXPECT_GT(s.waves, 0u);
-
-  std::multiset<std::uint64_t> seen;
-  const std::size_t conflict_free =
-      plan.num_waves() - (s.overflow_edges > 0 ? 1 : 0);
-  for (std::size_t w = 0; w < plan.num_waves(); ++w) {
-    std::vector<VertexId> endpoints;
-    CoreValue prev_level = -1;
-    for (const Edge& e : plan.wave(w)) {
-      seen.insert(edge_key(e));
-      endpoints.push_back(e.u);
-      endpoints.push_back(e.v);
-      // Bucketed order survives inside a wave: levels non-decreasing.
-      const CoreValue k =
-          std::min(state_.core(e.u).load(std::memory_order_relaxed),
-                   state_.core(e.v).load(std::memory_order_relaxed));
-      EXPECT_GE(k, prev_level) << "wave " << w;
-      prev_level = k;
-    }
-    if (w < conflict_free) {
-      std::sort(endpoints.begin(), endpoints.end());
-      EXPECT_TRUE(std::adjacent_find(endpoints.begin(), endpoints.end()) ==
-                  endpoints.end())
-          << "wave " << w << " shares a vertex";
-    }
-  }
-  EXPECT_EQ(seen, edge_multiset(batch));
-}
-
-TEST_F(BatchPlanTest, HubEdgesOverflowAtMaxWaves) {
-  init(100, gen_cycle(100));
-  std::vector<Edge> batch;
-  for (VertexId v = 2; v < 60; ++v) batch.push_back(Edge{0, v});  // one hub
-  PlanOptions opts;
-  opts.max_waves = 8;
-  BatchPlan plan;
-  plan.build(batch, state_, opts);
-  EXPECT_EQ(plan.stats().waves, 8u);
-  EXPECT_EQ(plan.stats().overflow_edges, batch.size() - 8);
-  EXPECT_EQ(plan.num_waves(), 9u);  // 8 singleton waves + overflow
-}
-
-TEST_F(BatchPlanTest, DetectsPresortedInput) {
-  Rng rng(9);
-  std::vector<Edge> base = gen_barabasi_albert(200, 3, rng);
-  canonicalize_edges(base);
-  init(200, base);
-  std::vector<Edge> batch = gen_erdos_renyi(200, 150, rng);
-  canonicalize_edges(batch);
-
-  BatchPlan plan;
-  plan.build(batch, state_, PlanOptions{});
-  const bool was_presorted = plan.stats().presorted;
-
-  std::stable_sort(batch.begin(), batch.end(), [&](Edge a, Edge b) {
-    return plan_sort_key(state_, a) < plan_sort_key(state_, b);
-  });
-  plan.build(batch, state_, PlanOptions{});
-  EXPECT_TRUE(plan.stats().presorted);
-  // A random batch over a BA graph is essentially never pre-bucketed.
-  EXPECT_FALSE(was_presorted && batch.size() > 20);
-}
-
-TEST_F(BatchPlanTest, InvalidEdgesRouteToOverflowWave) {
-  init(50, gen_clique(10));
-  std::vector<Edge> batch{{1, 1}, {5, 200}, {0, 11}, {3, 12}};
-  BatchPlan plan;
-  plan.build(batch, state_, PlanOptions{});
-  std::size_t total = 0;
-  for (std::size_t w = 0; w < plan.num_waves(); ++w)
-    total += plan.wave(w).size();
-  EXPECT_EQ(total, batch.size());  // invalid edges still dispatched
-  // Self-loop and out-of-range land in the trailing overflow wave.
-  const auto last = plan.wave(plan.num_waves() - 1);
-  EXPECT_TRUE(std::any_of(last.begin(), last.end(),
-                          [](Edge e) { return e.u == e.v; }));
-}
-
-TEST_F(BatchPlanTest, ExecuteDispatchesEveryEdgeExactlyOnce) {
-  Rng rng(13);
-  std::vector<Edge> base = gen_erdos_renyi(400, 1200, rng);
-  canonicalize_edges(base);
-  init(400, base);
-  std::vector<Edge> batch = gen_erdos_renyi(400, 500, rng);
-  canonicalize_edges(batch);
-
-  PlanOptions opts;
-  opts.chunk_edges = 4;
-  BatchPlan plan;
-  plan.build(batch, state_, opts);
-
-  ThreadTeam team(8);
-  std::array<std::vector<std::uint64_t>, 8> per_worker;
-  const std::size_t applied = plan.execute(team, 8, [&](int w, const Edge& e) {
-    per_worker[static_cast<std::size_t>(w)].push_back(edge_key(e));
-    return e.u % 2 == 0;  // arbitrary predicate: applied counting
-  });
-  std::multiset<std::uint64_t> seen;
-  std::size_t expect_applied = 0;
-  for (const auto& v : per_worker) seen.insert(v.begin(), v.end());
-  for (const Edge& e : batch)
-    if (e.u % 2 == 0) ++expect_applied;
-  EXPECT_EQ(seen, edge_multiset(batch));
-  EXPECT_EQ(applied, expect_applied);
-}
-
-TEST_F(BatchPlanTest, LocalityOnlyBuildKeepsBucketOrder) {
-  Rng rng(21);
-  std::vector<Edge> base = gen_erdos_renyi(300, 900, rng);
-  canonicalize_edges(base);
-  init(300, base);
-  std::vector<Edge> batch = gen_erdos_renyi(300, 250, rng);
-  canonicalize_edges(batch);
-
-  BatchPlan plan;
-  plan.build(batch, state_, PlanOptions{}, /*locality_only=*/true);
-  EXPECT_TRUE(plan.stats().locality_only);
-  EXPECT_EQ(plan.num_waves(), 1u);
-  EXPECT_EQ(plan.stats().waves, 1u);
-  ASSERT_EQ(plan.wave(0).size(), batch.size());
-  // The single wave is the full batch bucketed by level (the serial
-  // plan skips the within-level OM refinement).
-  CoreValue prev = -1;
-  for (const Edge& e : plan.wave(0)) {
-    const CoreValue k =
-        std::min(state_.core(e.u).load(std::memory_order_relaxed),
-                 state_.core(e.v).load(std::memory_order_relaxed));
-    EXPECT_GE(k, prev);
-    prev = k;
-  }
-  EXPECT_EQ(edge_multiset(plan.wave(0)), edge_multiset(batch));
-}
-
-TEST_F(BatchPlanTest, EmptyAndSingleEdgeBatches) {
-  init(20, gen_cycle(20));
-  BatchPlan plan;
-  plan.build({}, state_, PlanOptions{});
-  EXPECT_EQ(plan.num_waves(), 0u);
-  ThreadTeam team(4);
-  EXPECT_EQ(plan.execute(team, 4, [](int, const Edge&) { return true; }), 0u);
-
-  std::vector<Edge> one{{0, 5}};
-  plan.build(one, state_, PlanOptions{});
-  EXPECT_EQ(plan.num_waves(), 1u);
-  EXPECT_EQ(plan.execute(team, 4, [](int, const Edge&) { return true; }), 1u);
 }
 
 }  // namespace

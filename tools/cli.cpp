@@ -384,8 +384,6 @@ the batch that slides out of the window once it is full.
   --window N     live-edge window (default: half the dataset)
   --batch B      edges per step (default 1000)
   --workers W    parallel/je workers per batch (default 8)
-  --plan         conflict-aware wave scheduling (parallel algo only;
-                 DESIGN.md §9)
   --steps S      stop after S steps (default: until exhausted)
   --verify       recompute cores from scratch at the end and compare
 )";
@@ -421,20 +419,15 @@ int cmd_maintain(const Args& args) {
   DynamicGraph g = DynamicGraph::from_edges(
       data.num_vertices, std::vector<Edge>(live.begin(), live.end()));
 
-  if (args.has("plan") && algo != "parallel")
-    throw UsageError("--plan requires --algo parallel");
-
   // Only the selected maintainer is constructed: each constructor runs a
   // full decomposition, and the non-JE ones take over `g`.
   ThreadTeam team(std::max(workers, 1));
-  ParallelOrderMaintainer::Options par_opts;
-  if (args.has("plan")) par_opts.schedule = ScheduleMode::kPlan;
   std::unique_ptr<ParallelOrderMaintainer> par;
   std::unique_ptr<SeqOrderMaintainer> seq;
   std::unique_ptr<TraversalMaintainer> trav;
   std::unique_ptr<JeMaintainer> je;
   if (algo == "parallel")
-    par = std::make_unique<ParallelOrderMaintainer>(g, team, par_opts);
+    par = std::make_unique<ParallelOrderMaintainer>(g, team);
   else if (algo == "seq") seq = std::make_unique<SeqOrderMaintainer>(g);
   else if (algo == "traversal") trav = std::make_unique<TraversalMaintainer>(g);
   else je = std::make_unique<JeMaintainer>(g, team);
@@ -624,8 +617,6 @@ is checked against a fresh bz_decompose unless --no-verify.
                   (point reads + periodic core summaries) while the
                   producers run (default 0)
   --workers W     maintainer workers per flush (default: engine default)
-  --plan          conflict-aware wave scheduling per flush; prints the
-                  per-flush plan stats (buckets, waves, steals)
   --repeat R      replay the stream R times (default 1; load amplifier)
   --no-verify     skip the final bz_decompose comparison
   --metrics-port P  serve live metrics over HTTP on 127.0.0.1:P while
@@ -633,7 +624,7 @@ is checked against a fresh bz_decompose unless --no-verify.
                   /metrics is Prometheus text exposition, /summary the
                   human-readable summary (`stats --live P` fetches it)
   --trace-out FILE  stream one JSON line per flush (the FlushSpan
-                  schema: per-phase timings, worker busy/idle/steals;
+                  schema: per-phase timings, worker busy/idle;
                   docs/OBSERVABILITY.md)
   --checkpoint-dir DIR  enable durability (docs/DURABILITY.md): write
                   epoch checkpoints + an op WAL into DIR. The directory
@@ -697,7 +688,6 @@ int cmd_serve(const Args& args) {
   engine::StreamingEngine::Options opts = engine::options_from_env();
   if (args.has("workers"))
     opts.workers = static_cast<int>(args.get_positive("workers", opts.workers));
-  if (args.has("plan")) opts.maintainer.schedule = ScheduleMode::kPlan;
   if (args.has("checkpoint-dir"))
     opts.durability.dir = args.get("checkpoint-dir");
   if (args.has("checkpoint-interval")) {
@@ -877,21 +867,19 @@ int cmd_serve(const Args& args) {
     const engine::EngineStats::PhaseTotals& ph = stats.phases;
     const double total_ms =
         static_cast<double>(ph.repair_us + ph.drain_us + ph.coalesce_us +
-                            ph.wal_us + ph.plan_us + ph.apply_us +
-                            ph.om_compact_us + ph.publish_us +
-                            ph.checkpoint_us) /
+                            ph.wal_us + ph.apply_us + ph.om_compact_us +
+                            ph.publish_us + ph.checkpoint_us) /
         1000.0;
     std::printf(
         "  phases (ms, all flushes): repair %.1f, drain %.1f, "
-        "coalesce %.1f, wal %.1f, "
-        "plan %.1f, apply %.1f, om-compact %.1f, publish %.1f, "
+        "coalesce %.1f, wal %.1f, apply %.1f, om-compact %.1f, "
+        "publish %.1f, "
         "checkpoint %.1f (sum %.1f)\n"
         "  workers: busy %.1f ms, idle %.1f ms (%.0f%% utilised)\n",
         static_cast<double>(ph.repair_us) / 1000.0,
         static_cast<double>(ph.drain_us) / 1000.0,
         static_cast<double>(ph.coalesce_us) / 1000.0,
         static_cast<double>(ph.wal_us) / 1000.0,
-        static_cast<double>(ph.plan_us) / 1000.0,
         static_cast<double>(ph.apply_us) / 1000.0,
         static_cast<double>(ph.om_compact_us) / 1000.0,
         static_cast<double>(ph.publish_us) / 1000.0,
@@ -948,7 +936,7 @@ int cmd_serve(const Args& args) {
                 static_cast<unsigned long long>(stats.verify_runs),
                 static_cast<unsigned long long>(stats.verify_mismatches),
                 static_cast<unsigned long long>(stats.repairs));
-  // Arena footprint, OM reclamation, plan/steal counters and the rest
+  // Arena footprint, OM reclamation, worker counters and the rest
   // of the registry all render through the shared summary exporter —
   // the same bytes serve's /summary endpoint and `stats --live` return.
   print_metrics_summary(stdout);
@@ -1081,7 +1069,6 @@ producers x workers cells).
   --input FILE   dataset (edge list / .mtx / .pcg)
   --name NAME    output BENCH_<NAME>.json (default "engine_file")
   --ops N        total updates to stream (default 200000; FAST 20000)
-  --plan         conflict-aware wave scheduling in every measured cell
 
 Honours PARCORE_BENCH_FAST / _MAX_WORKERS / _JSON_DIR (docs/CONFIG.md).
 )";
@@ -1132,8 +1119,6 @@ int cmd_bench(const Args& args) {
         opts.flush_threshold = policy.threshold;
         opts.adaptive = policy.adaptive;
         opts.flush_interval_ms = 2.0;
-        if (args.has("plan"))
-          opts.maintainer.schedule = ScheduleMode::kPlan;
         const bench::EngineCellResult r = bench::run_engine_cell(
             data.num_vertices, base, streams, team, opts);
         table.add_row(
@@ -1158,7 +1143,6 @@ int cmd_bench(const Args& args) {
                             .set("base_edges", std::uint64_t{base.size()})
                             .set("ops_total", std::uint64_t{ops_total})
                             .set("scale", 1.0)
-                            .set("plan", args.has("plan"))
                             .set("rows", rows);
   if (bench::write_bench_json(name, payload).empty()) return 1;
   return 0;
@@ -1187,15 +1171,15 @@ int cli_main(const std::vector<std::string>& args) {
       {"convert", kConvertUsage, {"input", "output"}, {}, cmd_convert},
       {"maintain", kMaintainUsage,
        {"input", "algo", "window", "batch", "workers", "steps"},
-       {"verify", "plan"}, cmd_maintain},
+       {"verify"}, cmd_maintain},
       {"serve", kServeUsage,
        {"input", "producers", "readers", "workers", "repeat", "metrics-port",
         "trace-out", "checkpoint-dir", "checkpoint-interval", "reverify",
         "ingest-cap", "overload"},
-       {"no-verify", "plan"}, cmd_serve},
+       {"no-verify"}, cmd_serve},
       {"recover", kRecoverUsage, {"dir", "workers", "verify"}, {"no-verify"},
        cmd_recover},
-      {"bench", kBenchUsage, {"input", "name", "ops"}, {"plan"}, cmd_bench},
+      {"bench", kBenchUsage, {"input", "name", "ops"}, {}, cmd_bench},
       {"stats", kStatsUsage, {"input", "live"}, {}, cmd_stats},
   };
 

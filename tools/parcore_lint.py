@@ -14,7 +14,7 @@ Rules (each maps to a section of docs/STATIC_ANALYSIS.md):
               and their own documented discipline instead).
 
   alignas     Thread-sharded state structs (the project's per-thread
-              Cell/Shard/Cursor/... types) must be declared
+              Cell/Shard/... types) must be declared
               `struct alignas(64) Name` — without the padding,
               neighbouring shards false-share a cache line and the
               whole point of sharding evaporates.
@@ -69,7 +69,7 @@ BARE_LOCK_ALLOWLIST = {
 # Thread-sharded struct names that must be alignas(64). Project
 # convention: these names are reserved for per-thread/per-shard slots
 # (obs counter cells, ingest/slab shards). Other padded types exist
-# (WorkerCtx, plan Cursor) but are not counter arrays; keep the list
+# (WorkerCtx) but are not counter arrays; keep the list
 # tight so single-instance stats structs (durability Totals) don't
 # trip it.
 SHARDED_STRUCT_NAMES = ("Shard", "Cell")

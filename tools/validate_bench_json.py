@@ -19,15 +19,11 @@ ROW_FIELDS = {
     "engine_throughput": [
         "policy", "producers", "workers", "seconds", "updates_per_sec",
         "epochs", "p50_flush_ms", "p99_flush_ms", "applied_inserts",
-        "applied_removes", "plan_batches", "plan_waves", "plan_steals",
+        "applied_removes",
         # Per-phase pipeline decomposition (us, summed over the cell's
         # flushes; EngineStats::PhaseTotals).
-        "drain_us", "coalesce_us", "plan_us", "apply_us", "om_compact_us",
+        "drain_us", "coalesce_us", "apply_us", "om_compact_us",
         "publish_us", "worker_busy_us", "worker_idle_us",
-    ],
-    "scheduler": [
-        "workload", "mode", "workers", "insert_ms", "remove_ms", "cycle_ms",
-        "plan_buckets", "plan_waves", "plan_overflow_edges", "plan_steals",
     ],
     "storage": [],  # storage rows are heterogeneous; envelope-only check
     "query_serving": [
