@@ -46,6 +46,7 @@ StreamingEngine::StreamingEngine(DynamicGraph& g, ThreadTeam& team,
   obs_.om_reclaimed = &reg.counter("parcore_om_groups_reclaimed_total");
   obs_.worker_busy_us = &reg.counter("parcore_worker_busy_us_total");
   obs_.worker_idle_us = &reg.counter("parcore_worker_idle_us_total");
+  obs_.deferred_edges = &reg.counter("parcore_deferred_edges_total");
   obs_.epoch = &reg.gauge("parcore_epoch");
   obs_.threshold = &reg.gauge("parcore_flush_threshold");
   obs_.flush_us = &reg.histogram("parcore_flush_us");
@@ -356,6 +357,7 @@ std::uint64_t StreamingEngine::flush_locked() {
     const std::uint64_t wall =
         static_cast<std::uint64_t>(t.workers) * t.dispatch_us;
     span.worker_idle_us += wall > t.busy_us ? wall - t.busy_us : 0;
+    span.deferred_edges += t.deferred;
     span.workers = std::max(span.workers, static_cast<std::uint32_t>(
                                               std::max(t.workers, 0)));
   };
@@ -528,6 +530,7 @@ std::uint64_t StreamingEngine::flush_locked() {
   obs_.om_reclaimed->add(om_reclaimed);
   obs_.worker_busy_us->add(span.worker_busy_us);
   obs_.worker_idle_us->add(span.worker_idle_us);
+  obs_.deferred_edges->add(span.deferred_edges);
   obs_.epoch->set(static_cast<std::int64_t>(epoch));
   obs_.threshold->set(static_cast<std::int64_t>(
       threshold_.load(std::memory_order_relaxed)));

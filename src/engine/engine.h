@@ -462,6 +462,7 @@ class StreamingEngine {
     obs::Counter* om_reclaimed = nullptr;
     obs::Counter* worker_busy_us = nullptr;
     obs::Counter* worker_idle_us = nullptr;
+    obs::Counter* deferred_edges = nullptr;
     obs::Gauge* epoch = nullptr;
     obs::Gauge* threshold = nullptr;
     obs::Histogram* flush_us = nullptr;

@@ -116,6 +116,7 @@ std::string trace_json_line(const FlushSpan& s) {
   field("workers", s.workers);
   field("worker_busy_us", s.worker_busy_us);
   field("worker_idle_us", s.worker_idle_us);
+  field("deferred_edges", s.deferred_edges);
   out += '}';
   return out;
 }

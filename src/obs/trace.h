@@ -47,10 +47,12 @@ struct FlushSpan {
   // Worker attribution for the apply phase, summed over this flush's
   // batch dispatches: busy is time inside the dispatch loops, idle is
   // workers * dispatch wall - busy (waiting on the team, straggler
-  // tails).
+  // tails). deferred_edges counts the batch edges a worker set aside
+  // because an endpoint was locked by another (endpoint contention).
   std::uint32_t workers = 0;
   std::uint64_t worker_busy_us = 0;
   std::uint64_t worker_idle_us = 0;
+  std::uint64_t deferred_edges = 0;
 };
 
 /// Fixed-capacity ring of the most recent flush spans.

@@ -65,12 +65,23 @@ void ParallelOrderMaintainer::rebuild(int init_workers) {
   last_changed_.clear();
 }
 
-void ParallelOrderMaintainer::lock_endpoints(VertexId a, VertexId b) {
+bool ParallelOrderMaintainer::lock_endpoints(VertexId a, VertexId b,
+                                             bool may_defer) {
   // "Lock u and v together if both are not locked" (Alg. 7/8 line 1):
   // hold one only while try-locking the other — no hold-and-wait, so
   // this step cannot join a blocking cycle.
+  if (may_defer) return try_lock_endpoints(a, b);
   if (a > b) std::swap(a, b);
   lock_pair(state_.lock(a), state_.lock(b));
+  return true;
+}
+
+bool ParallelOrderMaintainer::try_lock_endpoints(VertexId a, VertexId b) {
+  if (a > b) std::swap(a, b);
+  if (!state_.lock(a).try_lock()) return false;
+  if (state_.lock(b).try_lock()) return true;
+  state_.lock(a).unlock();
+  return false;
 }
 
 template <typename Fn>
@@ -87,24 +98,36 @@ BatchResult ParallelOrderMaintainer::run_batch(std::span<const Edge> edges,
   alignas(64) std::atomic<std::size_t> applied{0};
   alignas(64) std::atomic<std::size_t> next{0};
   alignas(64) std::atomic<std::uint64_t> busy_us{0};
+  alignas(64) std::atomic<std::uint64_t> deferred{0};
   // Edges are claimed one at a time off the shared counter, so a worker
-  // stuck on an expensive edge never holds back a share of cheap ones
-  // (DESIGN.md §9).
+  // stuck on an expensive edge never holds back a share of cheap ones.
+  // An edge whose endpoint another worker holds is set aside rather
+  // than waited for; each worker applies its own set-aside edges, with
+  // blocking locks, once the counter runs dry (DESIGN.md §9).
   WallTimer dispatch_timer;
   team_.run(workers, [&](int w) {
     WallTimer busy;
     WorkerCtx& ctx = ctxs_[static_cast<std::size_t>(w)];
+    ctx.deferred.clear();
     std::size_t done = 0;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= edges.size()) break;
-      if (op(ctx, edges[i])) ++done;
+      switch (op(ctx, edges[i], /*may_defer=*/true)) {
+        case EdgeOutcome::kApplied: ++done; break;
+        case EdgeOutcome::kDeferred: ctx.deferred.push_back(edges[i]); break;
+        case EdgeOutcome::kSkipped: break;
+      }
     }
+    for (Edge e : ctx.deferred)
+      if (op(ctx, e, /*may_defer=*/false) == EdgeOutcome::kApplied) ++done;
     applied.fetch_add(done, std::memory_order_relaxed);
+    deferred.fetch_add(ctx.deferred.size(), std::memory_order_relaxed);
     busy_us.fetch_add(busy.elapsed_us(), std::memory_order_relaxed);
   });
   last_timing_.dispatch_us = dispatch_timer.elapsed_us();
   last_timing_.busy_us = busy_us.load(std::memory_order_relaxed);
+  last_timing_.deferred = deferred.load(std::memory_order_relaxed);
   last_timing_.workers = std::max(1, std::min(workers, team_.max_workers()));
   r.applied = applied.load(std::memory_order_relaxed);
   r.skipped = edges.size() - r.applied;
@@ -137,19 +160,22 @@ BatchResult ParallelOrderMaintainer::insert_batch(std::span<const Edge> edges,
                graph_.num_vertices()) +
       2);
   return run_batch(edges, workers,
-                   [this](WorkerCtx& ctx, Edge e) { return insert_one(ctx, e); });
+                   [this](WorkerCtx& ctx, Edge e, bool may_defer) {
+                     return insert_one(ctx, e, may_defer);
+                   });
 }
 
-bool ParallelOrderMaintainer::insert_one(WorkerCtx& ctx, Edge e) {
+ParallelOrderMaintainer::EdgeOutcome ParallelOrderMaintainer::insert_one(
+    WorkerCtx& ctx, Edge e, bool may_defer) {
   VertexId u = e.u, v = e.v;
   const std::size_t n = graph_.num_vertices();
-  if (u == v || u >= n || v >= n) return false;
+  if (u == v || u >= n || v >= n) return EdgeOutcome::kSkipped;
 
-  lock_endpoints(u, v);
+  if (!lock_endpoints(u, v, may_defer)) return EdgeOutcome::kDeferred;
   if (graph_.has_edge(u, v)) {
     state_.lock(u).unlock();
     state_.lock(v).unlock();
-    return false;
+    return EdgeOutcome::kSkipped;
   }
   // Orient u ≺ v; both endpoints are locked, so their positions are
   // stable (only a lock holder moves a vertex).
@@ -169,7 +195,7 @@ bool ParallelOrderMaintainer::insert_one(WorkerCtx& ctx, Edge e) {
       ctx.vplus_hist.record(0);
       ctx.vstar_hist.record(0);
     }
-    return true;
+    return EdgeOutcome::kApplied;
   }
 
   OrderList& list = state_.levels().get_or_create(k);
@@ -202,7 +228,7 @@ bool ParallelOrderMaintainer::insert_one(WorkerCtx& ctx, Edge e) {
   }
 
   finalize_insert(ctx, k, list);
-  return true;
+  return EdgeOutcome::kApplied;
 }
 
 void ParallelOrderMaintainer::insert_forward(WorkerCtx& ctx, VertexId w,
@@ -320,23 +346,25 @@ BatchResult ParallelOrderMaintainer::remove_batch(std::span<const Edge> edges,
                                                   int workers) {
   ++epoch_;
   for (auto& ctx : ctxs_) ctx.touched.clear();
-  BatchResult r = run_batch(edges, workers, [this](WorkerCtx& ctx, Edge e) {
-    return remove_one(ctx, e);
-  });
+  BatchResult r =
+      run_batch(edges, workers, [this](WorkerCtx& ctx, Edge e, bool may_defer) {
+        return remove_one(ctx, e, may_defer);
+      });
   repair_dout_after_removal(workers);
   return r;
 }
 
-bool ParallelOrderMaintainer::remove_one(WorkerCtx& ctx, Edge e) {
+ParallelOrderMaintainer::EdgeOutcome ParallelOrderMaintainer::remove_one(
+    WorkerCtx& ctx, Edge e, bool may_defer) {
   VertexId u = e.u, v = e.v;
   const std::size_t n = graph_.num_vertices();
-  if (u == v || u >= n || v >= n) return false;
+  if (u == v || u >= n || v >= n) return EdgeOutcome::kSkipped;
 
-  lock_endpoints(u, v);
+  if (!lock_endpoints(u, v, may_defer)) return EdgeOutcome::kDeferred;
   if (!graph_.has_edge(u, v)) {
     state_.lock(u).unlock();
     state_.lock(v).unlock();
-    return false;
+    return EdgeOutcome::kSkipped;
   }
   const CoreValue cu = state_.core(u).load(std::memory_order_relaxed);
   const CoreValue cv = state_.core(v).load(std::memory_order_relaxed);
@@ -406,7 +434,7 @@ bool ParallelOrderMaintainer::remove_one(WorkerCtx& ctx, Edge e) {
     ctx.touched.push_back(w);
     state_.lock(w).unlock();
   });
-  return true;
+  return EdgeOutcome::kApplied;
 }
 
 bool ParallelOrderMaintainer::demote_if_unsupported(WorkerCtx& ctx, VertexId x,

@@ -116,9 +116,13 @@ class ParallelOrderMaintainer {
   /// `busy_us` sums each worker's time inside its dispatch loop, so
   /// `workers * dispatch_us - busy_us` is the idle/straggler slack the
   /// flush trace reports (obs/trace.h).
+  /// `deferred` counts the edges whose endpoints were locked when
+  /// first claimed and which were applied in the worker's blocking
+  /// drain instead (DESIGN.md §9) — the batch's endpoint contention.
   struct BatchTiming {
     std::uint64_t dispatch_us = 0;
     std::uint64_t busy_us = 0;
+    std::uint64_t deferred = 0;
     int workers = 0;
   };
   const BatchTiming& last_timing() const { return last_timing_; }
@@ -144,21 +148,28 @@ class ParallelOrderMaintainer {
     std::vector<VertexId> locked;
     std::vector<VertexId> touched;
     std::vector<VertexId> changed;  // cores promoted/demoted this batch
+    std::vector<Edge> deferred;     // claimed with an endpoint locked
     std::size_t vplus_count = 0;
     SizeHistogram vplus_hist;
     SizeHistogram vstar_hist;
     SizeHistogram remove_vstar_hist;
   };
 
-  // insert_one / finalize_insert / remove_one / lock_endpoints operate
-  // on the per-vertex lock array (state_.lock(v)) under the paper's
-  // protocol: endpoints locked together up front, the V* frontier held
-  // locked across the whole traversal, released en masse at the end.
+  // What one claimed edge came to: kDeferred only when the op was
+  // allowed to defer and an endpoint lock was taken.
+  enum class EdgeOutcome { kSkipped, kApplied, kDeferred };
+
+  // insert_one / finalize_insert / remove_one / (try_)lock_endpoints
+  // operate on the per-vertex lock array (state_.lock(v)) under the
+  // paper's protocol: endpoints locked together up front, the V*
+  // frontier held locked across the whole traversal, released en masse
+  // at the end.
   // Clang's analysis cannot track dynamically indexed capabilities, so
   // these carry the no-analysis exemption; the discipline is enforced
   // by the invariant suite (all locks free at quiescence) instead
   // (docs/STATIC_ANALYSIS.md §exemptions).
-  bool insert_one(WorkerCtx& ctx, Edge e) PARCORE_NO_THREAD_SAFETY_ANALYSIS;
+  EdgeOutcome insert_one(WorkerCtx& ctx, Edge e, bool may_defer)
+      PARCORE_NO_THREAD_SAFETY_ANALYSIS;
   void insert_forward(WorkerCtx& ctx, VertexId w, CoreValue k);
   void insert_backward(WorkerCtx& ctx, VertexId w, CoreValue k,
                        OrderList& list);
@@ -167,7 +178,8 @@ class ParallelOrderMaintainer {
   void finalize_insert(WorkerCtx& ctx, CoreValue k, OrderList& list)
       PARCORE_NO_THREAD_SAFETY_ANALYSIS;
 
-  bool remove_one(WorkerCtx& ctx, Edge e) PARCORE_NO_THREAD_SAFETY_ANALYSIS;
+  EdgeOutcome remove_one(WorkerCtx& ctx, Edge e, bool may_defer)
+      PARCORE_NO_THREAD_SAFETY_ANALYSIS;
   void check_mcd(VertexId x, VertexId propagating_from);
   bool demote_if_unsupported(WorkerCtx& ctx, VertexId x, CoreValue k);
 
@@ -175,8 +187,13 @@ class ParallelOrderMaintainer {
   void collect_changed();
 
   /// Locks a and b together (no hold-and-wait; Alg. 7/8 line 1) and
-  /// returns with both held — unbalanced by design, hence exempt.
-  void lock_endpoints(VertexId a, VertexId b)
+  /// returns true with both held — unbalanced by design, hence exempt.
+  /// With `may_defer` it makes one try_lock_endpoints attempt instead.
+  bool lock_endpoints(VertexId a, VertexId b, bool may_defer)
+      PARCORE_NO_THREAD_SAFETY_ANALYSIS;
+  /// One attempt: true with both held, false with neither (the lower
+  /// id is tried first and released if the higher is taken).
+  bool try_lock_endpoints(VertexId a, VertexId b)
       PARCORE_NO_THREAD_SAFETY_ANALYSIS;
 
   template <typename Fn>

@@ -5,7 +5,9 @@
 // edges) but must support O(1) insert/contains/erase plus iteration in
 // insertion order (candidate promotion preserves k-order). A dense
 // entries vector + power-of-two probe table gives all of that without
-// touching the heap after warm-up.
+// touching the heap after warm-up. Each entry remembers its slot, so
+// clear() costs O(members), not O(table): the table never shrinks, and
+// one large V* early in a run must not tax every later tiny one.
 #pragma once
 
 #include <cassert>
@@ -35,9 +37,9 @@ class VertexSet {
       ++size_;
       return true;
     }
-    std::size_t slot = find_slot(v);
+    const std::size_t slot = find_slot(v);
     slots_[slot] = static_cast<std::uint32_t>(entries_.size());
-    entries_.push_back(Entry{v, true});
+    entries_.push_back(Entry{v, static_cast<std::uint32_t>(slot), true});
     ++size_;
     return true;
   }
@@ -75,16 +77,18 @@ class VertexSet {
     for (const Entry& e : entries_) fn(e.v);
   }
 
+  /// Empties the set in O(members): erase only tombstones an entry, so
+  /// the occupied slots are exactly the entries' own.
   void clear() {
-    if (entries_.empty()) return;
+    for (const Entry& e : entries_) slots_[e.slot] = kEmptySlot;
     entries_.clear();
     size_ = 0;
-    slots_.assign(slots_.size(), kEmptySlot);
   }
 
  private:
   struct Entry {
     VertexId v;
+    std::uint32_t slot;  // index into slots_, kept current by maybe_grow
     bool alive;
   };
 
@@ -118,13 +122,11 @@ class VertexSet {
 
   void maybe_grow() {
     if ((entries_.size() + 1) * 2 < slots_.size()) return;
-    std::vector<std::uint32_t> old = std::move(slots_);
-    slots_.assign(old.size() * 2, kEmptySlot);
-    const std::size_t mask = slots_.size() - 1;
+    slots_.assign(slots_.size() * 2, kEmptySlot);
     for (std::size_t idx = 0; idx < entries_.size(); ++idx) {
-      std::size_t i = hash(entries_[idx].v) & mask;
-      while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
+      const std::size_t i = find_slot(entries_[idx].v);
       slots_[i] = static_cast<std::uint32_t>(idx);
+      entries_[idx].slot = static_cast<std::uint32_t>(i);
     }
   }
 

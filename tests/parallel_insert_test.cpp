@@ -3,6 +3,7 @@
 
 #include <tuple>
 
+#include "decomp/bz.h"
 #include "gen/generators.h"
 #include "graph/edge_list.h"
 #include "maint/seq_order.h"
@@ -172,6 +173,74 @@ TEST(ParallelInsert, RepeatedBatchesStayConsistent) {
     test::expect_cores_match(g, m.cores(), "chunk " + std::to_string(i));
     expect_state_ok(m, "chunk " + std::to_string(i));
   }
+}
+
+// Every edge of these batches shares vertex 0, so racing workers find
+// the hub locked and set edges aside for their blocking drain
+// (DESIGN.md §9); the drained edges must land exactly as the rest.
+TEST(ParallelInsert, HubOnlyBatchInsertThenRemove) {
+  const test::Workload w = test::hub_workload(2000, 1500, 61);
+  for (int workers : {4, 8}) {
+    const std::string ctx = std::to_string(workers) + " workers";
+    auto g = DynamicGraph::from_edges(w.n, w.base);
+    ThreadTeam team(workers);
+    ParallelOrderMaintainer m(g, team);
+    BatchResult ins = m.insert_batch(w.batch, workers);
+    EXPECT_EQ(ins.applied, w.batch.size()) << ctx;
+    EXPECT_LE(m.last_timing().deferred, w.batch.size()) << ctx;
+    EXPECT_EQ(m.cores(), bz_decompose(g).core) << ctx << " insert";
+    expect_state_ok(m, ctx + " insert");
+    BatchResult rem = m.remove_batch(w.batch, workers);
+    EXPECT_EQ(rem.applied, w.batch.size()) << ctx;
+    EXPECT_EQ(m.cores(), bz_decompose(g).core) << ctx << " remove";
+    expect_state_ok(m, ctx + " remove");
+  }
+}
+
+TEST(ParallelInsert, DuplicatedHubEdgesApplyOnce) {
+  // Each edge twice, once per orientation: whichever copy is deferred,
+  // exactly one of the two applies.
+  const test::Workload w = test::hub_workload(400, 200, 67);
+  std::vector<Edge> batch = w.batch;
+  for (const Edge& e : w.batch) batch.push_back(Edge{e.v, e.u});
+  auto g = DynamicGraph::from_edges(w.n, w.base);
+  ThreadTeam team(4);
+  ParallelOrderMaintainer m(g, team);
+  BatchResult r = m.insert_batch(batch, 4);
+  EXPECT_EQ(r.applied, w.batch.size());
+  EXPECT_EQ(r.skipped, w.batch.size());
+  EXPECT_EQ(g.num_edges(), w.base.size() + w.batch.size());
+  EXPECT_EQ(m.cores(), bz_decompose(g).core);
+  expect_state_ok(m, "duplicated hub edges");
+}
+
+TEST(ParallelInsert, HeldHubForcesBlockingDrain) {
+  // The test holds the hub's lock, so every edge claimed meanwhile is
+  // deferred; the batch can finish only through the blocking drain.
+  const test::Workload w = test::hub_workload(400, 200, 73);
+  auto g = DynamicGraph::from_edges(w.n, w.base);
+  ThreadTeam team(4);
+  ParallelOrderMaintainer m(g, team);
+  BatchResult r;
+  test::run_while_locked(m.state().lock(0),
+                         [&] { r = m.insert_batch(w.batch, 4); });
+  EXPECT_EQ(r.applied, w.batch.size());
+  EXPECT_GT(m.last_timing().deferred, 0u);
+  EXPECT_LE(m.last_timing().deferred, w.batch.size());
+  EXPECT_EQ(m.cores(), bz_decompose(g).core);
+  expect_state_ok(m, "held hub");
+}
+
+TEST(ParallelInsert, SingleWorkerNeverDefers) {
+  // With one worker no other thread can hold an endpoint lock.
+  const test::Workload w = test::hub_workload(400, 200, 71);
+  auto g = DynamicGraph::from_edges(w.n, w.base);
+  ThreadTeam team(4);
+  ParallelOrderMaintainer m(g, team);
+  BatchResult r = m.insert_batch(w.batch, 1);
+  EXPECT_EQ(r.applied, w.batch.size());
+  EXPECT_EQ(m.last_timing().deferred, 0u);
+  EXPECT_EQ(m.cores(), bz_decompose(g).core);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <tuple>
 
+#include "decomp/bz.h"
 #include "gen/generators.h"
 #include "graph/edge_list.h"
 #include "maint/seq_order.h"
@@ -177,6 +178,80 @@ TEST(ParallelRemove, CollectStatsHistogramsCover) {
   ParallelOrderMaintainer m(g, team, opts);
   m.remove_batch(w.batch, 4);
   EXPECT_EQ(m.remove_vstar_histogram().total(), w.batch.size());
+}
+
+// Every edge of these batches shares vertex 0, so racing workers find
+// the hub locked and set edges aside for their blocking drain
+// (DESIGN.md §9); the drained edges must land exactly as the rest.
+DynamicGraph hub_graph(const test::Workload& w) {
+  std::vector<Edge> all = w.base;
+  all.insert(all.end(), w.batch.begin(), w.batch.end());
+  return DynamicGraph::from_edges(w.n, all);
+}
+
+TEST(ParallelRemove, HubOnlyBatchRemoveThenInsert) {
+  const test::Workload w = test::hub_workload(2000, 1500, 61);
+  for (int workers : {4, 8}) {
+    const std::string ctx = std::to_string(workers) + " workers";
+    auto g = hub_graph(w);
+    ThreadTeam team(workers);
+    ParallelOrderMaintainer m(g, team);
+    BatchResult rem = m.remove_batch(w.batch, workers);
+    EXPECT_EQ(rem.applied, w.batch.size()) << ctx;
+    EXPECT_LE(m.last_timing().deferred, w.batch.size()) << ctx;
+    EXPECT_EQ(m.cores(), bz_decompose(g).core) << ctx << " remove";
+    expect_state_ok(m, ctx + " remove");
+    BatchResult ins = m.insert_batch(w.batch, workers);
+    EXPECT_EQ(ins.applied, w.batch.size()) << ctx;
+    EXPECT_EQ(m.cores(), bz_decompose(g).core) << ctx << " insert";
+    expect_state_ok(m, ctx + " insert");
+  }
+}
+
+TEST(ParallelRemove, DuplicatedHubEdgesApplyOnce) {
+  // Each edge twice, once per orientation: whichever copy is deferred,
+  // exactly one of the two applies.
+  const test::Workload w = test::hub_workload(400, 200, 67);
+  std::vector<Edge> batch = w.batch;
+  for (const Edge& e : w.batch) batch.push_back(Edge{e.v, e.u});
+  auto g = hub_graph(w);
+  ThreadTeam team(4);
+  ParallelOrderMaintainer m(g, team);
+  BatchResult r = m.remove_batch(batch, 4);
+  EXPECT_EQ(r.applied, w.batch.size());
+  EXPECT_EQ(r.skipped, w.batch.size());
+  EXPECT_EQ(g.num_edges(), w.base.size());
+  EXPECT_EQ(m.cores(), bz_decompose(g).core);
+  expect_state_ok(m, "duplicated hub edges");
+}
+
+TEST(ParallelRemove, HeldHubForcesBlockingDrain) {
+  // The test holds the hub's lock, so every edge claimed meanwhile is
+  // deferred; the batch can finish only through the blocking drain.
+  const test::Workload w = test::hub_workload(400, 200, 73);
+  auto g = hub_graph(w);
+  ThreadTeam team(4);
+  ParallelOrderMaintainer m(g, team);
+  BatchResult r;
+  test::run_while_locked(m.state().lock(0),
+                         [&] { r = m.remove_batch(w.batch, 4); });
+  EXPECT_EQ(r.applied, w.batch.size());
+  EXPECT_GT(m.last_timing().deferred, 0u);
+  EXPECT_LE(m.last_timing().deferred, w.batch.size());
+  EXPECT_EQ(m.cores(), bz_decompose(g).core);
+  expect_state_ok(m, "held hub");
+}
+
+TEST(ParallelRemove, SingleWorkerNeverDefers) {
+  // With one worker no other thread can hold an endpoint lock.
+  const test::Workload w = test::hub_workload(400, 200, 71);
+  auto g = hub_graph(w);
+  ThreadTeam team(4);
+  ParallelOrderMaintainer m(g, team);
+  BatchResult r = m.remove_batch(w.batch, 1);
+  EXPECT_EQ(r.applied, w.batch.size());
+  EXPECT_EQ(m.last_timing().deferred, 0u);
+  EXPECT_EQ(m.cores(), bz_decompose(g).core);
 }
 
 }  // namespace

@@ -119,6 +119,76 @@ TEST(VertexSet, ClearResets) {
   EXPECT_TRUE(s.insert(10));
 }
 
+std::vector<VertexId> members(const VertexSet& s) {
+  std::vector<VertexId> out;
+  s.for_each([&](VertexId v) { out.push_back(v); });
+  return out;
+}
+
+TEST(VertexSet, ClearAfterLargeSetThenSmallCycles) {
+  // One big set grows the table for good; later clears reset only the
+  // members' own slots, so nothing of the big set may survive them.
+  VertexSet s;
+  for (VertexId v = 0; v < 5000; ++v) s.insert(v * 13);
+  s.clear();
+  for (VertexId v = 0; v < 5000; ++v) ASSERT_FALSE(s.contains(v * 13)) << v;
+  for (VertexId round = 0; round < 20; ++round) {
+    const VertexId a = round * 13, b = 7 + round * 39, c = 100000 + round;
+    EXPECT_TRUE(s.insert(c));
+    EXPECT_TRUE(s.insert(a));
+    EXPECT_TRUE(s.insert(b));
+    EXPECT_TRUE(s.erase(a));
+    EXPECT_EQ(members(s), (std::vector<VertexId>{c, b}));
+    EXPECT_EQ(s.total_inserted(), 3u);
+    s.clear();
+    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.total_inserted(), 0u);
+    EXPECT_FALSE(s.contains(a));
+    EXPECT_FALSE(s.contains(b));
+    EXPECT_FALSE(s.contains(c));
+  }
+}
+
+TEST(VertexSet, ClearAfterEraseAndRevive) {
+  VertexSet s;
+  for (VertexId v : {4u, 8u, 15u}) s.insert(v);
+  s.erase(8);
+  EXPECT_TRUE(s.insert(8));  // revive
+  s.clear();
+  EXPECT_TRUE(s.empty());
+  for (VertexId v : {4u, 8u, 15u}) EXPECT_FALSE(s.contains(v));
+  EXPECT_TRUE(s.insert(15));
+  EXPECT_TRUE(s.insert(8));
+  EXPECT_EQ(members(s), (std::vector<VertexId>{15, 8}));
+}
+
+TEST(VertexSet, ClearRightAfterRehash) {
+  // 16 slots hold 7 members; the 8th insert doubles the table, and the
+  // clear that follows must reset the slots the rehash assigned.
+  for (VertexId extra = 8; extra <= 40; extra += 8) {
+    VertexSet s;
+    for (VertexId v = 0; v < extra; ++v) s.insert(v * 101);
+    s.clear();
+    for (VertexId v = 0; v < extra; ++v)
+      ASSERT_FALSE(s.contains(v * 101)) << extra << " " << v;
+    for (VertexId v = extra; v-- > 0;) EXPECT_TRUE(s.insert(v * 101));
+    EXPECT_EQ(s.size(), extra);
+    EXPECT_EQ(members(s).front(), (extra - 1) * 101);
+  }
+}
+
+TEST(VertexSet, RepeatedClearOfEmptySet) {
+  VertexSet s;
+  s.clear();
+  s.clear();
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.insert(3));
+  s.clear();
+  s.clear();
+  EXPECT_FALSE(s.contains(3));
+  EXPECT_TRUE(members(s).empty());
+}
+
 TEST(Histogram, RecordsAndBuckets) {
   SizeHistogram h;
   for (std::size_t i = 0; i < 10; ++i) h.record(1);

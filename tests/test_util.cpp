@@ -50,6 +50,25 @@ Workload make_workload(Family f, std::size_t n, double batch_fraction,
   return w;
 }
 
+Workload hub_workload(std::size_t n, std::size_t spokes,
+                      std::uint64_t seed) {
+  Rng rng(seed);
+  Workload w;
+  w.n = n;
+  w.base = gen_erdos_renyi(n, n * 4, rng);
+  canonicalize_edges(w.base);
+  std::vector<bool> adjacent(n, false);
+  adjacent[0] = true;
+  for (const Edge& e : w.base) {
+    if (e.u == 0) adjacent[e.v] = true;
+    if (e.v == 0) adjacent[e.u] = true;
+  }
+  for (VertexId x = 1; x < n && w.batch.size() < spokes; ++x)
+    if (!adjacent[x]) w.batch.push_back(Edge{0, x});
+  rng.shuffle(w.batch);
+  return w;
+}
+
 InsertCase backward_origin_case() {
   // Vertex 3 is a pendant (core 1); the rest is a 2-core around hub 2.
   // Inserting (5, 0) closes the K4 {0, 2, 4, 5}.

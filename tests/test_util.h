@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "decomp/verify.h"
 #include "graph/dynamic_graph.h"
 #include "support/rng.h"
 #include "support/types.h"
+#include "sync/spinlock.h"
 
 namespace parcore::test {
 
@@ -57,6 +61,28 @@ struct Workload {
 
 Workload make_workload(Family f, std::size_t n, double batch_fraction,
                        std::uint64_t seed);
+
+/// A hub-only batch: every batch edge joins vertex 0 to a vertex it is
+/// not adjacent to in `base` (an ER graph with 4n edges), so all of
+/// them compete for one endpoint lock. `spokes` < n.
+Workload hub_workload(std::size_t n, std::size_t spokes, std::uint64_t seed);
+
+/// Runs `batch` on a helper thread (a team's worker 0 is the calling
+/// thread) while `held` stays locked for 20 ms after it starts: every
+/// edge claimed in that window finds the lock taken.
+template <typename Fn>
+void run_while_locked(Spinlock& held, Fn&& batch) {
+  held.lock();
+  std::atomic<bool> started{false};
+  std::thread t([&] {
+    started.store(true, std::memory_order_release);
+    batch();
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  held.unlock();
+  t.join();
+}
 
 /// A graph plus one edge to insert. The two cases below pin the rules
 /// of the d*in counter in Backward (DESIGN.md §3.1); both maintainers
