@@ -1,11 +1,9 @@
 // Ablation: initialisation/decomposition choices — the classic O(m+n)
 // array BZ vs the heap variant under the three tie policies of §3.3.1
-// ("small degree first" is the paper's pick), and ParK parallel
-// decomposition across worker counts.
+// ("small degree first" is the paper's pick).
 #include <cstdio>
 
 #include "decomp/bz.h"
-#include "decomp/park.h"
 #include "harness.h"
 
 using namespace parcore;
@@ -13,14 +11,12 @@ using namespace parcore::bench;
 
 int main() {
   const BenchEnv env = bench_env();
-  ThreadTeam team(env.max_workers);
 
   std::printf("== Ablation: static decomposition (init path) ==\n");
   std::printf("(scale %.2f; times in ms)\n\n", env.scale);
 
   Table table({"graph", "BZ array", "heap small", "heap large",
-               "heap random", "ParK w=1", "ParK w=4",
-               "ParK w=" + std::to_string(env.max_workers)});
+               "heap random"});
   for (const SuiteSpec& spec : scalability_suite()) {
     SuiteGraph sg = build_suite_graph(spec, env.scale);
     DynamicGraph g = to_graph(sg);
@@ -41,20 +37,8 @@ int main() {
     const double large_ms = time_policy(PeelTie::kLargeDegreeFirst);
     const double random_ms = time_policy(PeelTie::kRandom);
 
-    auto time_park = [&](int workers) {
-      WallTimer tp;
-      auto cores = park_decompose(g, team, workers);
-      const double ms = tp.elapsed_ms();
-      if (cores != d.core)
-        std::printf("PARK MISMATCH on %s!\n", spec.name.c_str());
-      return ms;
-    };
-    const double park1 = time_park(1);
-    const double park4 = time_park(4);
-    const double parkN = time_park(env.max_workers);
-
     table.add_row({spec.name, fmt(bz_ms), fmt(small_ms), fmt(large_ms),
-                   fmt(random_ms), fmt(park1), fmt(park4), fmt(parkN)});
+                   fmt(random_ms)});
     std::fflush(stdout);
   }
   table.print();

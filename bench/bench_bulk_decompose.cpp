@@ -1,6 +1,5 @@
-// Bulk decomposition bench (ISSUE 8): sequential BZ vs the parallel
-// exact peel vs capped h-index approximation, on the two shapes that
-// bracket the cold-start cost model:
+// Bulk decomposition bench: sequential BZ vs the parallel exact peel,
+// on the two shapes that bracket the cold-start cost model:
 //
 //   er  — large Erdős–Rényi graph; shallow core hierarchy, so the exact
 //         peel runs few frontier rounds and the win is pure scan/decrement
@@ -11,7 +10,7 @@
 //         the adversarial shape for atomic peeling.
 //
 // Protocol: per (workload, algo, workers) cell the reps are INTERLEAVED
-// across algos (bz, parallel, approx, bz, ...) so machine-load drift
+// across algos (bz, parallel, bz, ...) so machine-load drift
 // hits every algo equally; medians drive the speedup summary. Emits
 // BENCH_bulk_decompose.json with summary keys
 // `<workload>_parallel_speedup_w<N>` (bz_median / parallel_median) that
@@ -41,11 +40,11 @@ struct DecompWorkload {
 };
 
 struct Cell {
-  std::string algo;        // "bz" | "parallel" | "approx"
+  std::string algo;        // "bz" | "parallel"
   int workers = 1;         // 1 for bz
   std::vector<double> ms;  // one sample per rep
   CoreValue max_core = 0;
-  std::uint64_t rounds = 0;  // frontier sub-rounds / h-index rounds
+  std::uint64_t rounds = 0;  // frontier sub-rounds
 };
 
 double median_of(std::vector<double> v) {
@@ -68,10 +67,6 @@ int main() {
   const std::size_t ba_k = 12;
   const int reps = env.fast ? 3 : (env.reps > 1 ? env.reps : 5);
   const std::vector<int> worker_counts{1, 2, 4, 8};
-  // Approx cap: enough rounds to converge on these families (measured
-  // fixpoint is < 32 on both), so `exact` lands true and the cell is
-  // comparable; the capped-bound regime is covered by the unit tests.
-  const int approx_cap = 64;
 
   std::vector<DecompWorkload> workloads;
   {
@@ -90,7 +85,7 @@ int main() {
   }
 
   ThreadTeam team(8);
-  std::printf("== bulk decomposition: bz vs parallel exact vs approx "
+  std::printf("== bulk decomposition: bz vs parallel exact "
               "(er n=%zu m=%zu, hub n=%zu k=%zu, %d reps) ==\n\n",
               er_n, workloads[0].g.num_edges(), ba_n, ba_k, reps);
 
@@ -100,13 +95,11 @@ int main() {
                "rounds", "speedup vs bz"});
 
   for (const DecompWorkload& w : workloads) {
-    // One cell list per workload: bz + parallel/approx per worker count.
+    // One cell list per workload: bz + parallel per worker count.
     std::vector<Cell> cells;
     cells.push_back(Cell{"bz", 1, {}, 0, 0});
     for (int workers : worker_counts)
       cells.push_back(Cell{"parallel", workers, {}, 0, 0});
-    for (int workers : worker_counts)
-      cells.push_back(Cell{"approx", workers, {}, 0, 0});
 
     for (int rep = 0; rep < reps; ++rep) {
       for (Cell& c : cells) {
@@ -117,12 +110,8 @@ int main() {
           c.max_core = d.max_core;
           c.rounds = 0;
         } else {
-          DecomposeOptions opts;
-          opts.workers = c.workers;
-          opts.mode = c.algo == "approx" ? DecomposeMode::kApprox
-                                         : DecomposeMode::kExact;
-          opts.max_rounds = c.algo == "approx" ? approx_cap : 0;
-          const BulkDecomposition bd = parallel_decompose(w.g, team, opts);
+          const BulkDecomposition bd =
+              parallel_decompose(w.g, team, c.workers);
           c.ms.push_back(t.elapsed_ms());
           c.max_core = bd.max_core;
           c.rounds = bd.rounds;
@@ -147,9 +136,6 @@ int main() {
                     .set("rounds", std::uint64_t{c.rounds}));
       if (c.algo == "parallel")
         summary.set(w.name + "_parallel_speedup_w" + std::to_string(c.workers),
-                    speedup);
-      if (c.algo == "approx")
-        summary.set(w.name + "_approx_speedup_w" + std::to_string(c.workers),
                     speedup);
     }
     std::fflush(stdout);

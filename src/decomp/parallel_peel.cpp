@@ -64,8 +64,8 @@ BulkDecomposition exact_peel_seq(const DynamicGraph& g) {
   return out;
 }
 
-// Exact mode: level-synchronous frontier peeling (park.h's scheme) that
-// also records the peel order. Vertices are appended to `order` one
+// Level-synchronous frontier peeling (the ParK/PKC scheme) that also
+// records the peel order. Vertices are appended to `order` one
 // frontier at a time — (level, sub-round, id) — before the frontier is
 // processed. Frontier membership is deterministic regardless of worker
 // count: the set of degree decrements inside one sub-round is fixed by
@@ -173,93 +173,17 @@ BulkDecomposition exact_peel(const DynamicGraph& g, ThreadTeam& team,
   return out;
 }
 
-// Approx mode: Jacobi h-index iteration. next[v] = H({cur[u]}) reads
-// only the previous round's array, so the result is independent of
-// worker interleaving; values decrease monotonically and stay upper
-// bounds on the coreness at every round.
-BulkDecomposition hindex_iterate(const DynamicGraph& g, ThreadTeam& team,
-                                 int workers, int max_rounds) {
-  BulkDecomposition out;
-  const std::size_t n = g.num_vertices();
-  out.core.assign(n, 0);
-  out.exact = true;
-  if (n == 0) return out;
-
-  std::vector<CoreValue> cur(n), next(n);
-  for (VertexId v = 0; v < n; ++v)
-    cur[v] = static_cast<CoreValue>(g.degree(v));
-
-  // Per-worker counting scratch for the O(d) h-index: values are
-  // clamped at d, counted into [0, d], then swept downward until the
-  // cumulative count of >=h values reaches h.
-  const auto max_workers = static_cast<std::size_t>(team.max_workers());
-  std::vector<std::vector<std::uint32_t>> scratch(max_workers);
-
-  constexpr std::size_t kGrain = 512;
-  bool changed = true;
-  while (changed && (max_rounds <= 0 ||
-                     out.rounds < static_cast<std::size_t>(max_rounds))) {
-    std::atomic<bool> any{false};
-    std::atomic<std::size_t> chunk{0};
-    team.run(workers, [&](int w) {
-      auto& count = scratch[static_cast<std::size_t>(w)];
-      bool local_any = false;
-      for (;;) {
-        const std::size_t c = chunk.fetch_add(1, std::memory_order_relaxed);
-        const std::size_t begin = c * kGrain;
-        if (begin >= n) break;
-        const std::size_t end = std::min(n, begin + kGrain);
-        for (std::size_t v = begin; v < end; ++v) {
-          const auto d = static_cast<std::size_t>(g.degree(v));
-          if (count.size() < d + 1) count.resize(d + 1);
-          std::fill(count.begin(), count.begin() + d + 1, 0u);
-          for (VertexId u : g.neighbors(v)) {
-            const auto cv = static_cast<std::size_t>(
-                std::min(cur[u], static_cast<CoreValue>(d)));
-            ++count[cv];
-          }
-          std::uint32_t acc = 0;
-          CoreValue h = 0;
-          for (std::size_t k = d; k > 0; --k) {
-            acc += count[k];
-            if (acc >= k) {
-              h = static_cast<CoreValue>(k);
-              break;
-            }
-          }
-          next[v] = h;
-          local_any |= (h != cur[v]);
-        }
-      }
-      if (local_any) any.store(true, std::memory_order_relaxed);
-    });
-    ++out.rounds;
-    changed = any.load(std::memory_order_relaxed);
-    cur.swap(next);
-  }
-  // Stopped on the round cap with changes still pending: the values are
-  // a sound upper bound, not the fixpoint.
-  out.exact = !changed;
-  out.core = std::move(cur);
-  for (VertexId v = 0; v < n; ++v)
-    out.max_core = std::max(out.max_core, out.core[v]);
-  return out;
-}
-
 }  // namespace
 
 BulkDecomposition parallel_decompose(const DynamicGraph& g, ThreadTeam& team,
-                                     const DecomposeOptions& opts) {
+                                     int workers) {
   // Clamp to the team AND the machine: threads beyond the hardware only
   // timeshare, so every extra worker adds atomic/barrier cost and buys
   // zero parallelism. The result is worker-count independent (see
   // exact_peel), so the clamp changes cost only, never output.
   const int hw = std::max(1u, std::thread::hardware_concurrency());
-  const int workers =
-      std::max(1, std::min({opts.workers, team.max_workers(), hw}));
-  if (opts.mode == DecomposeMode::kExact)
-    return workers == 1 ? exact_peel_seq(g) : exact_peel(g, team, workers);
-  return hindex_iterate(g, team, workers, opts.max_rounds);
+  workers = std::max(1, std::min({workers, team.max_workers(), hw}));
+  return workers == 1 ? exact_peel_seq(g) : exact_peel(g, team, workers);
 }
 
 }  // namespace parcore

@@ -2,27 +2,13 @@
 // cold-start path that replaces sequential BZ on engine construction,
 // crash recovery verification and `parcore_cli decompose`.
 //
-// Two modes:
-//   kExact  — level-synchronous frontier peeling (ParK/PKC family, like
-//             decomp/park.h) that ADDITIONALLY records the peel order:
-//             vertices are appended frontier by frontier — (level,
-//             sub-round, vertex id) — which is a valid k-order instance
-//             (proof sketch in DESIGN.md §12.2). Core numbers are
-//             bit-identical to bz_decompose; the order is deterministic
-//             across worker counts and schedules, so differential tests
-//             and restarts see one canonical result.
-//   kApprox — h-index iterative convergence (Lü et al.; the practical
-//             cousin of the (2+ε)-approximate scheme in Liu et al.,
-//             arXiv:2106.03824): core(v) starts at degree(v) and is
-//             repeatedly replaced by H(cores of neighbours) until
-//             fixpoint. Values decrease monotonically and every round
-//             stays a SOUND UPPER BOUND on the true coreness; the
-//             uncapped fixpoint equals it exactly. A round cap
-//             (max_rounds) buys a fast bound for huge graphs — exact
-//             maintenance or a later exact pass trues it up. Jacobi
-//             iteration (reads previous round's array only) keeps the
-//             result deterministic under parallelism. No order is
-//             produced (approx values admit no k-order).
+// Level-synchronous frontier peeling (the ParK/PKC family) that
+// additionally records the peel order: vertices are appended frontier
+// by frontier — (level, sub-round, vertex id) — which is a valid
+// k-order instance (proof sketch in DESIGN.md §12.2). Core numbers are
+// bit-identical to bz_decompose; the order is deterministic across
+// worker counts and schedules, so differential tests and restarts see
+// one canonical result.
 #pragma once
 
 #include <cstddef>
@@ -34,34 +20,21 @@
 
 namespace parcore {
 
-enum class DecomposeMode { kExact, kApprox };
-
-struct DecomposeOptions {
-  int workers = 4;
-  DecomposeMode mode = DecomposeMode::kExact;
-  /// kApprox only: maximum h-index rounds. 0 = iterate to fixpoint
-  /// (exact coreness); N > 0 stops after N rounds with an upper bound.
-  int max_rounds = 0;
-};
-
 struct BulkDecomposition {
   std::vector<CoreValue> core;
-  /// kExact: a valid k-order instance (non-decreasing core numbers,
+  /// A valid k-order instance (non-decreasing core numbers,
   /// dout(v) <= core(v) along it) — feedable to
-  /// CoreState::initialize_from_order. Empty in kApprox mode.
+  /// CoreState::initialize_from_order.
   std::vector<VertexId> order;
   CoreValue max_core = 0;
-  /// kExact: frontier sub-rounds executed; kApprox: h-index rounds.
+  /// Frontier sub-rounds executed.
   std::size_t rounds = 0;
-  /// True when `core` is the exact coreness: always for kExact, and for
-  /// kApprox when the iteration reached its fixpoint within max_rounds.
-  bool exact = true;
 };
 
-/// Decomposes `g` on `team` with opts.workers (clamped to the team).
-/// Deterministic for a given (graph, mode, max_rounds) regardless of
+/// Decomposes `g` on `team` with `workers` threads (clamped to the team
+/// and the hardware). Deterministic for a given graph regardless of
 /// worker count.
 BulkDecomposition parallel_decompose(const DynamicGraph& g, ThreadTeam& team,
-                                     const DecomposeOptions& opts);
+                                     int workers);
 
 }  // namespace parcore

@@ -30,38 +30,18 @@ VerifyOutcome verify_recovered_cores(const DynamicGraph& g,
       out.algo = "bz";
       truth = bz_decompose(g).core;
       break;
-    case VerifyAlgo::kParallel: {
+    case VerifyAlgo::kParallel:
       out.algo = "parallel";
-      DecomposeOptions d;
-      d.workers = workers;
-      d.mode = DecomposeMode::kExact;
-      truth = parallel_decompose(g, team, d).core;
+      truth = parallel_decompose(g, team, workers).core;
       break;
-    }
-    case VerifyAlgo::kApprox: {
-      out.algo = "approx";
-      DecomposeOptions d;
-      d.workers = workers;
-      d.mode = DecomposeMode::kApprox;
-      // A generous cap: ER/power-law graphs converge in a few dozen
-      // rounds; adversarial paths would need O(n), which is exactly
-      // what this tier exists to avoid.
-      d.max_rounds = 64;
-      const BulkDecomposition bd = parallel_decompose(g, team, d);
-      out.exact = bd.exact;
-      truth = bd.core;
-      break;
-    }
   }
 
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const bool bad = out.exact ? cores[v] != truth[v] : cores[v] > truth[v];
-    if (!bad) continue;
+    if (cores[v] == truth[v]) continue;
     if (out.mismatches == 0)
       out.first_mismatch =
           "core(" + std::to_string(v) + ") = " + std::to_string(cores[v]) +
-          " but " + out.algo + (out.exact ? " decomposition says "
-                                          : " upper bound is ") +
+          " but " + out.algo + " decomposition says " +
           std::to_string(truth[v]);
     ++out.mismatches;
   }
@@ -160,7 +140,6 @@ std::unique_ptr<ParallelOrderMaintainer> recover(const RecoveryOptions& opts,
         graph, maintainer->cores(), opts.verify_algo, team, workers);
     res.verify_ms = vo.ms;
     res.verify_algo = vo.algo;
-    res.verify_exact = vo.exact;
     if (!vo.passed)
       throw std::runtime_error(
           "recovery verification failed (" + std::string(vo.algo) + ", " +

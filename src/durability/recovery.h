@@ -16,8 +16,7 @@
 //      decomposition of the replayed graph (skippable for speed). The
 //      oracle defaults to the parallel exact peel (decomp/
 //      parallel_peel.h) — same accept/reject behavior as BZ, minus the
-//      sequential bottleneck on big graphs; `approx` is the fast tier
-//      (capped h-index upper bound) for when even that is too slow.
+//      sequential bottleneck on big graphs.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +34,7 @@ namespace parcore::durability {
 ///   kBz       — sequential BZ peel (the PR 7 behavior).
 ///   kParallel — parallel exact peel on `workers` threads; identical
 ///               core numbers, identical accept/reject decisions.
-///   kApprox   — capped h-index iteration: if it converges the compare
-///               is exact; if the cap stops it first the recovered
-///               cores are only checked against the upper bound
-///               (soundness screen, not a proof of equality).
-enum class VerifyAlgo { kBz, kParallel, kApprox };
+enum class VerifyAlgo { kBz, kParallel };
 
 struct RecoveryOptions {
   std::string dir;
@@ -65,21 +60,16 @@ struct RecoveryResult {
   std::size_t num_edges = 0;
   CoreValue max_core = 0;
   double verify_ms = 0.0;              // step-4 wall time (0 when skipped)
-  const char* verify_algo = "";        // "bz" | "parallel" | "approx"
-  /// False only for a kApprox verify whose round cap fired: the check
-  /// degraded to the upper-bound screen (see VerifyAlgo).
-  bool verify_exact = true;
+  const char* verify_algo = "";        // "bz" | "parallel"
 };
 
 /// The step-4 oracle, exposed for direct differential testing: computes
-/// a fresh decomposition of `g` with `algo` and compares `cores`
-/// against it. kBz and kParallel must agree exactly; kApprox accepts
-/// any `cores` elementwise <= its (possibly capped) bound.
+/// a fresh decomposition of `g` with `algo` and requires `cores` to
+/// equal it.
 struct VerifyOutcome {
   bool passed = false;
   std::size_t mismatches = 0;
   double ms = 0.0;
-  bool exact = true;          // compare was equality, not bound-only
   const char* algo = "";
   std::string first_mismatch;  // diagnostic for the throw message
 };

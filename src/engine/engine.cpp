@@ -257,10 +257,7 @@ std::size_t StreamingEngine::run_reverify_once() {
   }
 
   WallTimer timer;
-  DecomposeOptions dopts;
-  dopts.workers = workers;
-  dopts.mode = DecomposeMode::kExact;
-  const BulkDecomposition truth = parallel_decompose(*copy, team, dopts);
+  const BulkDecomposition truth = parallel_decompose(*copy, team, workers);
   std::size_t mismatches = 0;
   const std::size_t n = std::min<std::size_t>(truth.core.size(),
                                               at->num_vertices());

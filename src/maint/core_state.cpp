@@ -106,10 +106,7 @@ void CoreState::initialize_parallel(const DynamicGraph& g, ThreadTeam& team,
                                     int workers, const Options& opts) {
   allocate(g.num_vertices());
 
-  DecomposeOptions dopts;
-  dopts.workers = workers;
-  dopts.mode = DecomposeMode::kExact;
-  BulkDecomposition d = parallel_decompose(g, team, dopts);
+  BulkDecomposition d = parallel_decompose(g, team, workers);
   max_core_.store(d.max_core, std::memory_order_relaxed);
 
   levels_.clear();

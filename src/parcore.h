@@ -3,8 +3,9 @@
 //   DynamicGraph            mutable undirected graph
 //   generators / suite      synthetic workloads (ER, BA, R-MAT, grid,
 //                           temporal streams; Table-2 stand-ins)
-//   bz_decompose / park_decompose / truss_decompose
-//                           static decompositions
+//   bz_decompose / parallel_decompose
+//                           static decompositions (sequential
+//                           reference / parallel exact peel)
 //   core_query              k-core extraction, subcores, degeneracy
 //   SeqOrderMaintainer      sequential Simplified-Order maintenance
 //   TraversalMaintainer     sequential Traversal maintenance (baseline)
@@ -22,8 +23,7 @@
 #include "baseline/je.h"
 #include "decomp/bz.h"
 #include "decomp/core_query.h"
-#include "decomp/park.h"
-#include "decomp/truss.h"
+#include "decomp/parallel_peel.h"
 #include "decomp/verify.h"
 #include "engine/coalesce.h"
 #include "engine/engine.h"

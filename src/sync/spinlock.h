@@ -4,8 +4,7 @@
 //   - lock_if:  conditional lock, Algorithm 4 — acquires only while a
 //     predicate holds and never blocks on a lock whose condition failed;
 //   - lock_pair: acquires two locks "together" with no hold-and-wait, so
-//     the initial endpoint locking of Algorithms 7/8 cannot deadlock;
-//   - TicketLock: FIFO alternative used by the lock ablation bench.
+//     the initial endpoint locking of Algorithms 7/8 cannot deadlock.
 //
 // Everything here is capability-annotated (sync/annotations.h) so the
 // discipline these comments describe is machine-checked under
@@ -121,29 +120,5 @@ inline void lock_pair(Spinlock& a, Spinlock& b) PARCORE_ACQUIRE(a, b) {
     backoff.pause();
   }
 }
-
-/// FIFO ticket lock; only used for the lock-primitive ablation bench.
-class PARCORE_CAPABILITY("ticketlock") TicketLock {
- public:
-  TicketLock() = default;
-  TicketLock(const TicketLock&) = delete;
-  TicketLock& operator=(const TicketLock&) = delete;
-  TicketLock(TicketLock&&) = delete;
-  TicketLock& operator=(TicketLock&&) = delete;
-
-  void lock() PARCORE_ACQUIRE() {
-    const std::uint32_t my = next_.fetch_add(1, std::memory_order_relaxed);
-    Backoff backoff;
-    while (serving_.load(std::memory_order_acquire) != my) backoff.pause();
-  }
-
-  void unlock() PARCORE_RELEASE() {
-    serving_.fetch_add(1, std::memory_order_release);
-  }
-
- private:
-  std::atomic<std::uint32_t> next_{0};
-  std::atomic<std::uint32_t> serving_{0};
-};
 
 }  // namespace parcore

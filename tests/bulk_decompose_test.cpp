@@ -1,7 +1,6 @@
 // Differential suite for the parallel bulk decomposition (DESIGN.md
-// §12): exact mode must be bit-identical to BZ (cores) and emit a valid
-// k-order, deterministically across worker counts; approx mode must be
-// a sound upper bound that converges to exact when uncapped. Plus the
+// §12): the exact peel must be bit-identical to BZ (cores) and emit a
+// valid k-order, deterministically across worker counts. Plus the
 // three consumers: CoreState::initialize_parallel, the maintainer's
 // init_workers cold start, and the engine's background re-verifier.
 #include <gtest/gtest.h>
@@ -25,16 +24,6 @@ namespace parcore {
 namespace {
 
 using test::Family;
-
-BulkDecomposition run(const DynamicGraph& g, ThreadTeam& team, int workers,
-                      DecomposeMode mode = DecomposeMode::kExact,
-                      int max_rounds = 0) {
-  DecomposeOptions opts;
-  opts.workers = workers;
-  opts.mode = mode;
-  opts.max_rounds = max_rounds;
-  return parallel_decompose(g, team, opts);
-}
 
 // Feeds (core, order) through the restore-path validator, which checks
 // permutation shape, non-decreasing cores along the order, dout <= core
@@ -71,11 +60,10 @@ TEST_P(BulkDecomposeFamily, ExactMatchesBzAcrossWorkers) {
                            std::to_string(seed);
   BulkDecomposition first;
   for (int workers : {1, 2, 4, 8}) {
-    const BulkDecomposition d = run(g, team, workers);
+    const BulkDecomposition d = parallel_decompose(g, team, workers);
     ASSERT_EQ(d.core.size(), expect.core.size());
     EXPECT_EQ(d.core, expect.core) << base << " workers " << workers;
     EXPECT_EQ(d.max_core, expect.max_core);
-    EXPECT_TRUE(d.exact);
     ASSERT_EQ(d.order.size(), n) << base;
     if (workers == 1) {
       first = d;
@@ -90,31 +78,6 @@ TEST_P(BulkDecomposeFamily, ExactMatchesBzAcrossWorkers) {
   }
 }
 
-TEST_P(BulkDecomposeFamily, ApproxIsSoundAndConverges) {
-  const auto [family, seed] = GetParam();
-  Rng rng(seed + 17);
-  const std::size_t n = 500;
-  auto g = DynamicGraph::from_edges(n, test::family_edges(family, n, rng));
-  const Decomposition expect = bz_decompose(g);
-
-  ThreadTeam team(4);
-  // Capped: every intermediate round is an upper bound on coreness.
-  for (int cap : {1, 2, 4}) {
-    const BulkDecomposition d =
-        run(g, team, 4, DecomposeMode::kApprox, cap);
-    ASSERT_EQ(d.core.size(), n);
-    EXPECT_TRUE(d.order.empty());
-    for (VertexId v = 0; v < static_cast<VertexId>(n); ++v)
-      EXPECT_GE(d.core[v], expect.core[v])
-          << "cap " << cap << " vertex " << v;
-  }
-  // Uncapped: the fixpoint IS the coreness, and the run reports exact.
-  const BulkDecomposition fix = run(g, team, 4, DecomposeMode::kApprox, 0);
-  EXPECT_TRUE(fix.exact);
-  EXPECT_EQ(fix.core, expect.core);
-  EXPECT_EQ(fix.max_core, expect.max_core);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Families, BulkDecomposeFamily,
     ::testing::Combine(::testing::Values(Family::kEr, Family::kBa,
@@ -125,13 +88,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BulkDecompose, EmptyAndEdgelessGraphs) {
   ThreadTeam team(4);
   DynamicGraph empty(0);
-  const BulkDecomposition d0 = run(empty, team, 4);
+  const BulkDecomposition d0 = parallel_decompose(empty, team, 4);
   EXPECT_TRUE(d0.core.empty());
   EXPECT_TRUE(d0.order.empty());
   EXPECT_EQ(d0.max_core, 0);
 
   DynamicGraph isolated(5);  // vertices, no edges
-  const BulkDecomposition d1 = run(isolated, team, 4);
+  const BulkDecomposition d1 = parallel_decompose(isolated, team, 4);
   ASSERT_EQ(d1.core.size(), 5u);
   for (CoreValue c : d1.core) EXPECT_EQ(c, 0);
   ASSERT_EQ(d1.order.size(), 5u);
@@ -144,7 +107,7 @@ TEST(BulkDecompose, DisconnectedComponentsAndIsolates) {
   for (VertexId v = 10; v < 14; ++v) edges.push_back(Edge{v, v + 1});
   auto g = DynamicGraph::from_edges(20, edges);
   ThreadTeam team(4);
-  const BulkDecomposition d = run(g, team, 4);
+  const BulkDecomposition d = parallel_decompose(g, team, 4);
   const Decomposition expect = bz_decompose(g);
   EXPECT_EQ(d.core, expect.core);
   expect_valid_korder(g, d, "disconnected");
@@ -201,8 +164,7 @@ TEST(VerifyRecoveredCores, AllAlgosAcceptCorrectCores) {
   const std::vector<CoreValue> truth = bz_decompose(g).core;
   ThreadTeam team(4);
   for (auto algo : {durability::VerifyAlgo::kBz,
-                    durability::VerifyAlgo::kParallel,
-                    durability::VerifyAlgo::kApprox}) {
+                    durability::VerifyAlgo::kParallel}) {
     const durability::VerifyOutcome out =
         durability::verify_recovered_cores(g, truth, algo, team, 4);
     EXPECT_TRUE(out.passed) << out.algo << ": " << out.first_mismatch;
@@ -227,19 +189,6 @@ TEST(VerifyRecoveredCores, BzAndParallelRejectIdentically) {
   // Same oracle values => same mismatch count, not merely same verdict.
   EXPECT_EQ(bz.mismatches, par.mismatches);
   EXPECT_EQ(bz.mismatches, 2u);
-}
-
-TEST(VerifyRecoveredCores, ApproxScreensOverclaimsOnly) {
-  Rng rng(0xb0bbd);
-  auto g = DynamicGraph::from_edges(300, test::family_edges(Family::kEr,
-                                                            300, rng));
-  std::vector<CoreValue> doctored = bz_decompose(g).core;
-  doctored[3] += 5;  // above even the h-index bound after convergence
-  ThreadTeam team(4);
-  const durability::VerifyOutcome out = durability::verify_recovered_cores(
-      g, doctored, durability::VerifyAlgo::kApprox, team, 4);
-  EXPECT_FALSE(out.passed);
-  EXPECT_GE(out.mismatches, 1u);
 }
 
 TEST(EngineReverify, BackgroundVerifierRunsCleanly) {

@@ -3,7 +3,6 @@
 #include <tuple>
 
 #include "decomp/bz.h"
-#include "decomp/park.h"
 #include "decomp/verify.h"
 #include "gen/generators.h"
 #include "test_util.h"
@@ -123,33 +122,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{64}, std::size_t{512})),
     [](const auto& info) {
       return std::string(test::family_name(std::get<0>(info.param))) + "_" +
-             std::to_string(std::get<1>(info.param));
-    });
-
-class ParkTest
-    : public ::testing::TestWithParam<std::tuple<Family, int>> {};
-
-TEST_P(ParkTest, MatchesBz) {
-  auto [family, workers] = GetParam();
-  Rng rng(17);
-  auto edges = test::family_edges(family, 600, rng);
-  std::size_t max_v = 600;
-  for (const Edge& e : edges)
-    max_v = std::max<std::size_t>(max_v, std::max(e.u, e.v) + 1);
-  auto g = DynamicGraph::from_edges(max_v, edges);
-  ThreadTeam team(workers);
-  auto park = park_decompose(g, team, workers);
-  Decomposition d = bz_decompose(g);
-  EXPECT_EQ(park, d.core);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    WorkersByFamily, ParkTest,
-    ::testing::Combine(::testing::Values(Family::kEr, Family::kBa,
-                                         Family::kRmat),
-                       ::testing::Values(1, 4, 8)),
-    [](const auto& info) {
-      return std::string(test::family_name(std::get<0>(info.param))) + "_w" +
              std::to_string(std::get<1>(info.param));
     });
 

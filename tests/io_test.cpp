@@ -486,6 +486,20 @@ TEST(Cli, EverySubcommandRejectsUnknownOptionsWithExit2) {
            {"bench", "--input", toy, "--ops", "64", "--plan"}}) {
     EXPECT_EQ(cli::cli_main(argv), 2) << argv[0];
   }
+  // The parallel exact peel and BZ are the only decompositions: the
+  // ParK and h-index spellings are usage errors, not silent fallbacks.
+  for (const std::vector<std::string>& argv :
+       std::vector<std::vector<std::string>>{
+           {"decompose", "--input", toy, "--algo", "park"},
+           {"decompose", "--input", toy, "--algo", "approx"},
+           {"decompose", "--input", toy, "--max-rounds", "4"},
+           {"recover", "--dir", "/nonexistent/parcore-ckpt", "--verify",
+            "approx"}}) {
+    EXPECT_EQ(cli::cli_main(argv), 2) << argv[0] << " " << argv[3];
+  }
+  EXPECT_EQ(cli::cli_main({"decompose", "--input", toy, "--algo", "parallel",
+                           "--workers", "4"}),
+            0);
 }
 
 TEST(Cli, HelpIsStrictAboutItsArguments) {

@@ -375,8 +375,7 @@ TEST(Recovery, VerifyAlgoParityOnCleanCheckpoint) {
     durability::VerifyAlgo algo;
     const char* name;
   } cases[] = {{durability::VerifyAlgo::kBz, "bz"},
-               {durability::VerifyAlgo::kParallel, "parallel"},
-               {durability::VerifyAlgo::kApprox, "approx"}};
+               {durability::VerifyAlgo::kParallel, "parallel"}};
   for (const auto& c : cases) {
     RecoveryOptions opts;
     opts.dir = dir;

@@ -236,22 +236,6 @@ TEST(Notifier, WaitForReturnsSignalledAndTimesOutClean) {
   EXPECT_TRUE(n.wait_for(std::chrono::duration<double, std::milli>(50.0)));
 }
 
-TEST(TicketLock, MutualExclusion) {
-  TicketLock lock;
-  long counter = 0;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t)
-    threads.emplace_back([&] {
-      for (int i = 0; i < 10000; ++i) {
-        lock.lock();
-        ++counter;
-        lock.unlock();
-      }
-    });
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(counter, 40000);
-}
-
 TEST(ThreadTeam, RunsRequestedWorkerCount) {
   ThreadTeam team(8);
   std::atomic<int> ran{0};

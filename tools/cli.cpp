@@ -19,7 +19,6 @@
 #include "decomp/bz.h"
 #include "decomp/core_query.h"
 #include "decomp/parallel_peel.h"
-#include "decomp/park.h"
 #include "durability/recovery.h"
 #include "engine/engine.h"
 #include "gen/generators.h"
@@ -217,13 +216,10 @@ constexpr const char* kDecomposeUsage =
 Static core decomposition with a load/decompose time breakdown.
 
   --input FILE   dataset (edge list / .mtx / .pcg; docs/FORMATS.md)
-  --algo NAME    bz (sequential, default), park (parallel, cores only),
-                 parallel (parallel exact peel, also derives a k-order)
-                 or approx (h-index iteration; --max-rounds caps it to
-                 a fast upper bound, 0 iterates to the exact fixpoint)
-  --workers N    worker threads for park/parallel/approx (default 8,
-                 or PARCORE_DECOMPOSE_WORKERS when set)
-  --max-rounds N approx round cap (default 0 = run to fixpoint)
+  --algo NAME    bz (sequential, default) or parallel (parallel exact
+                 peel, also derives a k-order)
+  --workers N    worker threads for parallel (default 8, or
+                 PARCORE_DECOMPOSE_WORKERS when set)
   --top K        print the K highest-coreness vertices (original ids)
   --histogram    print the core-value distribution
 )";
@@ -232,8 +228,7 @@ int cmd_decompose(const Args& args) {
   const std::string input = args.get("input");
   if (input.empty()) return usage_error(kDecomposeUsage, "--input is required");
   const std::string algo = args.get("algo", "bz");
-  if (algo != "bz" && algo != "park" && algo != "parallel" &&
-      algo != "approx")
+  if (algo != "bz" && algo != "parallel")
     return usage_error(kDecomposeUsage, "unknown --algo '" + algo + "'");
 
   WallTimer load_timer;
@@ -247,21 +242,12 @@ int cmd_decompose(const Args& args) {
   WallTimer decomp_timer;
   std::vector<CoreValue> cores;
   std::string note;
-  if (algo == "park") {
+  if (algo == "parallel") {
     ThreadTeam team(workers);
-    cores = park_decompose(g, team, workers);
-  } else if (algo == "parallel" || algo == "approx") {
-    ThreadTeam team(workers);
-    DecomposeOptions dopts;
-    dopts.workers = workers;
-    dopts.mode =
-        algo == "approx" ? DecomposeMode::kApprox : DecomposeMode::kExact;
-    dopts.max_rounds = static_cast<int>(args.get_int("max-rounds", 0));
-    const BulkDecomposition bd = parallel_decompose(g, team, dopts);
+    const BulkDecomposition bd = parallel_decompose(g, team, workers);
     cores = bd.core;
     note = " (" + std::to_string(workers) + " workers, " +
-           std::to_string(bd.rounds) + " rounds" +
-           (bd.exact ? "" : ", capped: upper bound only") + ")";
+           std::to_string(bd.rounds) + " rounds)";
   } else {
     cores = bz_decompose(g).core;
   }
@@ -993,11 +979,10 @@ core numbers against a fresh decomposition of the replayed graph.
 
   --dir DIR      checkpoint + WAL directory written by serve
   --workers W    maintainer workers for the WAL replay, also used by the
-                 parallel verify oracles (default 4)
+                 parallel verify oracle (default 4)
   --verify MODE  verify oracle: parallel (exact peel, default), bz
-                 (sequential), approx (capped h-index upper-bound
-                 screen), or off. PARCORE_DECOMPOSE_MODE sets the
-                 default; --no-verify is shorthand for --verify off
+                 (sequential), or off; --no-verify is shorthand for
+                 --verify off
   --no-verify    skip the cross-check entirely
 
 Exits 0 when recovery succeeds (and, unless the verify is off, the
@@ -1014,15 +999,13 @@ int cmd_recover(const Args& args) {
   ropts.workers = static_cast<int>(args.get_positive("workers", 4));
   ropts.verify = !args.has("no-verify");
   const std::string verify_mode =
-      args.get("verify", env_str("PARCORE_DECOMPOSE_MODE", "parallel"));
+      args.get("verify", "parallel");
   if (verify_mode == "off")
     ropts.verify = false;
   else if (verify_mode == "bz")
     ropts.verify_algo = durability::VerifyAlgo::kBz;
   else if (verify_mode == "parallel")
     ropts.verify_algo = durability::VerifyAlgo::kParallel;
-  else if (verify_mode == "approx")
-    ropts.verify_algo = durability::VerifyAlgo::kApprox;
   else
     return usage_error(kRecoverUsage,
                        "unknown --verify mode '" + verify_mode + "'");
@@ -1048,10 +1031,8 @@ int cmd_recover(const Args& args) {
       static_cast<unsigned long long>(res.final_epoch));
   if (res.verified)
     std::printf("verified: recovered cores match a fresh %s decomposition "
-                "of the replayed graph%s (%.1f ms)\n",
-                res.verify_algo,
-                res.verify_exact ? "" : " (upper-bound screen only)",
-                res.verify_ms);
+                "of the replayed graph (%.1f ms)\n",
+                res.verify_algo, res.verify_ms);
   else
     std::printf("verification skipped (--verify off)\n");
   return 0;
@@ -1166,7 +1147,7 @@ int cli_main(const std::vector<std::string>& args) {
   };
   static const std::vector<Command> commands{
       {"decompose", kDecomposeUsage,
-       {"input", "algo", "workers", "max-rounds", "top"}, {"histogram"},
+       {"input", "algo", "workers", "top"}, {"histogram"},
        cmd_decompose},
       {"convert", kConvertUsage, {"input", "output"}, {}, cmd_convert},
       {"maintain", kMaintainUsage,

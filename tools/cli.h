@@ -2,7 +2,8 @@
 // replaces the per-bench ad-hoc setup code with subcommands over the
 // src/io readers:
 //
-//   decompose   static core decomposition of a dataset (BZ or ParK)
+//   decompose   static core decomposition of a dataset (BZ or the
+//               parallel exact peel)
 //   maintain    sliding-window batch maintenance (parallel/seq/JE/...)
 //   serve       drive the StreamingEngine from a temporal update file
 //   bench       engine-throughput benchmark emitting BENCH_*.json

@@ -50,8 +50,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 # Directories scanned for C++ rules. tests/ and bench/ are out of
 # scope on purpose: they exercise the raw primitives (sync_test locks
-# and unlocks deliberately; the lock-ablation bench measures bare
-# spinlocks) and use fake PARCORE_TEST_* env names.
+# and unlocks deliberately) and use fake PARCORE_TEST_* env names.
 CXX_DIRS = ["src", "tools"]
 CXX_SUFFIXES = {".cpp", ".h", ".hpp", ".cc"}
 
