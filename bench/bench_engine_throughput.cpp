@@ -11,9 +11,11 @@
 // cell and JSON row schema live in the harness (run_engine_cell /
 // engine_cell_json), shared with `parcore_cli bench`.
 // The payload also carries an `obs_overhead` cell pair: one
-// representative configuration measured with metrics recording
+// representative configuration measured with registry recording
 // disabled then enabled (obs::set_enabled, best of 3 each,
 // alternating), backing the <= 2% observability-overhead guard in CI.
+// The gate covers the process rows (slab arena, snapshot index); the
+// engine keeps its own counts in EngineStats either way.
 #include <algorithm>
 #include <cstdio>
 

@@ -98,13 +98,6 @@ Manager::Manager(Options opts) : opts_(std::move(opts)) {
                   "directory already contains checkpoints; refusing to start "
                   "a fresh engine over an existing history (use `parcore_cli "
                   "recover` or point at an empty directory)");
-  obs::MetricsRegistry& reg = obs::registry();
-  obs_.checkpoints = &reg.counter("parcore_checkpoints_total");
-  obs_.wal_frames = &reg.counter("parcore_wal_frames_total");
-  obs_.wal_bytes = &reg.counter("parcore_wal_bytes_total");
-  obs_.wal_fsyncs = &reg.counter("parcore_wal_fsync_total");
-  obs_.wal_truncate_repairs = &reg.counter("parcore_wal_truncate_repairs_total");
-  obs_.checkpoint_us = &reg.histogram("parcore_checkpoint_us");
 }
 
 void Manager::checkpoint(const io::PcgCheckpoint& ck) {
@@ -140,8 +133,6 @@ void Manager::checkpoint(const io::PcgCheckpoint& ck) {
                              opts_.fsync);
     totals_.wal_bytes += next.bytes_appended();
     totals_.wal_fsyncs += next.fsyncs();
-    obs_.wal_bytes->add(next.bytes_appended());
-    obs_.wal_fsyncs->add(next.fsyncs());
     crash_point("checkpoint-pre-rename");
 
     // 3. Commit point.
@@ -176,8 +167,7 @@ void Manager::checkpoint(const io::PcgCheckpoint& ck) {
   flushes_since_checkpoint_ = 0;
   frames_since_checkpoint_ = 0;
   ++totals_.checkpoints;
-  obs_.checkpoints->inc();
-  obs_.checkpoint_us->record(now_us() - t0);
+  totals_.checkpoint_us.record(now_us() - t0);
 
   // 4. Retention: keep the newest `retain` generations.
   std::vector<std::uint64_t> epochs = list_checkpoint_epochs(opts_.dir);
@@ -205,9 +195,7 @@ void Manager::log_flush(const WalRecord& rec) {
     // the repair in the totals, then let the engine's retry/degrade
     // wrapper handle the error. The flush is NOT counted toward the
     // checkpoint cadence so a retried append doesn't double-count it.
-    const std::uint64_t repairs = wal_.truncate_repairs() - tr0;
-    totals_.wal_truncate_repairs += repairs;
-    obs_.wal_truncate_repairs->add(repairs);
+    totals_.wal_truncate_repairs += wal_.truncate_repairs() - tr0;
     throw;
   }
   ++flushes_since_checkpoint_;
@@ -215,9 +203,6 @@ void Manager::log_flush(const WalRecord& rec) {
   ++totals_.wal_frames;
   totals_.wal_bytes += wal_.bytes_appended() - b0;
   totals_.wal_fsyncs += wal_.fsyncs() - f0;
-  obs_.wal_frames->inc();
-  obs_.wal_bytes->add(wal_.bytes_appended() - b0);
-  obs_.wal_fsyncs->add(wal_.fsyncs() - f0);
 }
 
 void Manager::remove_generation(std::uint64_t epoch) {

@@ -70,7 +70,7 @@ class Manager {
     double rearm_interval_ms = 5000.0;
   };
 
-  /// Validates options, creates the directory, and registers metrics.
+  /// Validates options and creates the directory.
   /// Refuses (IoError) a directory that already contains checkpoints:
   /// starting a fresh engine there would interleave two histories and
   /// stale higher-epoch generations would shadow the new run's.
@@ -114,6 +114,8 @@ class Manager {
     std::uint64_t wal_fsyncs = 0;
     /// Failed appends rolled back to the last committed frame boundary.
     std::uint64_t wal_truncate_repairs = 0;
+    /// Wall time of each committed checkpoint, microseconds.
+    obs::Histogram::Snapshot checkpoint_us;
   };
   const Totals& totals() const { return totals_; }
 
@@ -128,15 +130,6 @@ class Manager {
   std::size_t flushes_since_checkpoint_ = 0;
   std::uint64_t frames_since_checkpoint_ = 0;
   Totals totals_;
-  struct ObsHandles {
-    obs::Counter* checkpoints = nullptr;
-    obs::Counter* wal_frames = nullptr;
-    obs::Counter* wal_bytes = nullptr;
-    obs::Counter* wal_fsyncs = nullptr;
-    obs::Counter* wal_truncate_repairs = nullptr;
-    obs::Histogram* checkpoint_us = nullptr;
-  };
-  ObsHandles obs_;
 };
 
 }  // namespace parcore::durability

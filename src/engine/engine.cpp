@@ -35,47 +35,11 @@ StreamingEngine::StreamingEngine(DynamicGraph& g, ThreadTeam& team,
                  : opts.flush_threshold)),
       index_(query::VersionedCoreIndex::Options{opts.snapshot_page}),
       trace_(opts.trace_capacity) {
-  // Register into the global metrics registry once; the cached handles
-  // make every later record a lock-free sharded add (obs/metrics.h).
-  obs::MetricsRegistry& reg = obs::registry();
-  obs_.submitted = &reg.counter("parcore_updates_submitted_total");
-  obs_.flushes = &reg.counter("parcore_flushes_total");
-  obs_.inserts_applied = &reg.counter("parcore_inserts_applied_total");
-  obs_.removes_applied = &reg.counter("parcore_removes_applied_total");
-  obs_.pages_cloned = &reg.counter("parcore_snapshot_pages_cloned_total");
-  obs_.om_reclaimed = &reg.counter("parcore_om_groups_reclaimed_total");
-  obs_.worker_busy_us = &reg.counter("parcore_worker_busy_us_total");
-  obs_.worker_idle_us = &reg.counter("parcore_worker_idle_us_total");
-  obs_.deferred_edges = &reg.counter("parcore_deferred_edges_total");
-  obs_.epoch = &reg.gauge("parcore_epoch");
-  obs_.threshold = &reg.gauge("parcore_flush_threshold");
-  obs_.flush_us = &reg.histogram("parcore_flush_us");
-  obs_.batch_size = &reg.histogram("parcore_flush_batch_size");
-  obs_.publish_us = &reg.histogram("parcore_publish_us");
-  obs_.engine_init_us = &reg.histogram("parcore_engine_init_us");
-  if (opts_.reverify_interval_ms > 0.0) {
-    obs_.verify_runs = &reg.counter("parcore_verify_runs_total");
-    obs_.verify_mismatches = &reg.counter("parcore_verify_mismatches_total");
-    obs_.verify_us = &reg.histogram("parcore_verify_us");
-  }
-  obs_.overloaded = &reg.gauge("parcore_overloaded");
-  obs_.admission_shed = &reg.counter("parcore_admission_shed_total");
-  obs_.admission_blocked_us =
-      &reg.counter("parcore_admission_blocked_us_total");
-  obs_.admission_compacted =
-      &reg.counter("parcore_admission_compacted_total");
-  obs_.repairs = &reg.counter("parcore_repairs_total");
-  obs_.quarantined = &reg.gauge("parcore_quarantined");
-  obs_.durability_degraded = &reg.gauge("parcore_durability_degraded");
-  obs_.durability_retries = &reg.counter("parcore_durability_retries_total");
-  obs_.durability_rearms = &reg.counter("parcore_durability_rearms_total");
-
   // Epoch 0: the initial decomposition, the index's one full O(n)
   // build. Every later epoch is a COW delta on top of it.
   query::CoreView view = index_.rebuild(
       graph_.num_vertices(), [this](VertexId v) { return maintainer_.core(v); });
   stats_.snapshot_pages_cloned += index_.last_pages_cloned();
-  obs_.pages_cloned->add(index_.last_pages_cloned());
   auto snap = build_snapshot(0, std::move(view));
   {
     SpinGuard g(snap_mu_);
@@ -83,8 +47,6 @@ StreamingEngine::StreamingEngine(DynamicGraph& g, ThreadTeam& team,
   }
   stats_.memory = graph_.memory_stats();
   stats_.memory_epoch = 0;
-  obs_.threshold->set(static_cast<std::int64_t>(
-      threshold_.load(std::memory_order_relaxed)));
 
   // Durability: the initial checkpoint IS epoch 0 — recovery always has
   // a base image, and the first WAL generation opens beside it. The
@@ -104,8 +66,7 @@ StreamingEngine::StreamingEngine(DynamicGraph& g, ThreadTeam& team,
   // or the parallel peel, per Options::maintainer.init_workers) through
   // epoch-0 publish and the initial checkpoint. init_timer_ is declared
   // before maintainer_ precisely so this covers the decomposition.
-  stats_.engine_init_us = init_timer_.elapsed_us();
-  obs_.engine_init_us->record(stats_.engine_init_us);
+  stats_.engine_init_us.record(init_timer_.elapsed_us());
 }
 
 StreamingEngine::~StreamingEngine() { stop(); }
@@ -177,11 +138,6 @@ SubmitResult StreamingEngine::submit(const GraphUpdate& u) {
   if (!pushed.accepted) return SubmitResult{false, 0};
   const std::size_t prev = pushed.prev;
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  // No obs record here: submit is the producer hot path and even a
-  // sharded relaxed inc costs measurable throughput (the <=2% CI
-  // overhead gate caught it). The submitted counter is fed from the
-  // drained count once per flush instead, so the exported total lags
-  // the true one by at most the buffered backlog.
   // Wake the scheduler only on the threshold CROSSING, not on every
   // push above it — otherwise all producers serialise on the notifier
   // mutex for the whole duration of a flush. Backlog that accumulates
@@ -215,12 +171,12 @@ void StreamingEngine::reporter_loop() {
   for (;;) {
     reporter_notifier_.wait_for(interval);
     if (reporter_notifier_.stop_requested()) return;
-    const std::string summary = obs::human_summary(obs::registry());
+    const std::string summary =
+        obs::human_summary(obs::with_process_rows(metric_rows()));
     // One write, unbuffered target: interleaves sanely with other
-    // stderr traffic and costs nothing when the registry is empty.
-    if (!summary.empty())
-      std::fprintf(stderr, "[parcore obs] epoch=%llu\n%s",
-                   static_cast<unsigned long long>(epoch()), summary.c_str());
+    // stderr traffic.
+    std::fprintf(stderr, "[parcore obs] epoch=%llu\n%s",
+                 static_cast<unsigned long long>(epoch()), summary.c_str());
   }
 }
 
@@ -265,11 +221,6 @@ std::size_t StreamingEngine::run_reverify_once() {
     if (at->core(v) != truth.core[v]) ++mismatches;
   const std::uint64_t us = timer.elapsed_us();
 
-  if (obs_.verify_runs != nullptr) {
-    obs_.verify_runs->add(1);
-    obs_.verify_mismatches->add(mismatches);
-    obs_.verify_us->record(us);
-  }
   if (mismatches == 0) {
     // Clean pass: this snapshot becomes the quarantine fallback the
     // next mismatch pins queries to.
@@ -283,7 +234,6 @@ std::size_t StreamingEngine::run_reverify_once() {
                  static_cast<unsigned long long>(at->epoch), mismatches);
     quarantined_.store(true, std::memory_order_relaxed);
     repair_requested_.store(true, std::memory_order_relaxed);
-    obs_.quarantined->set(1);
     // Wake the scheduler so the repair flush runs promptly even with
     // idle producers.
     notifier_.notify();
@@ -291,6 +241,7 @@ std::size_t StreamingEngine::run_reverify_once() {
   MutexGuard lk(stats_mu_);
   ++stats_.verify_runs;
   stats_.verify_mismatches += mismatches;
+  stats_.verify_us.record(us);
   stats_.quarantined = quarantined_.load(std::memory_order_relaxed);
   return mismatches;
 }
@@ -474,6 +425,7 @@ std::uint64_t StreamingEngine::flush_locked() {
       stats_.memory = mem_sample;
       stats_.memory_epoch = epoch;
     }
+    stats_.deferred_edges += span.deferred_edges;
     stats_.coalesce += batch.stats;
     stats_.phases.drain_us += span.drain_us;
     stats_.phases.coalesce_us += span.coalesce_us;
@@ -508,41 +460,13 @@ std::uint64_t StreamingEngine::flush_locked() {
     if (repaired) verified_snap_ = snap;
     snap_ = std::move(snap);
   }
-  if (repaired) {
-    quarantined_.store(false, std::memory_order_relaxed);
-    obs_.quarantined->set(0);
-    obs_.repairs->add(1);
-  }
+  if (repaired) quarantined_.store(false, std::memory_order_relaxed);
   if (opts_.adaptive) adapt_threshold(flush_ms, raw.size());
 
-  // Observability last, off the reader-visible locks: the span ring,
-  // the optional JSONL sink, and the global registry.
+  // Observability last, off the reader-visible locks: the span ring and
+  // the optional JSONL sink.
   trace_.record(span);
   if (opts_.span_sink) opts_.span_sink(span);
-  obs_.flushes->inc();
-  obs_.submitted->add(span.raw);  // per-flush, not per-submit (hot path)
-  obs_.inserts_applied->add(ins.applied);
-  obs_.removes_applied->add(rem.applied);
-  obs_.pages_cloned->add(span.pages_cloned);
-  obs_.om_reclaimed->add(om_reclaimed);
-  obs_.worker_busy_us->add(span.worker_busy_us);
-  obs_.worker_idle_us->add(span.worker_idle_us);
-  obs_.deferred_edges->add(span.deferred_edges);
-  obs_.epoch->set(static_cast<std::int64_t>(epoch));
-  obs_.threshold->set(static_cast<std::int64_t>(
-      threshold_.load(std::memory_order_relaxed)));
-  obs_.flush_us->record(span.flush_us);
-  obs_.batch_size->record(span.raw);
-  obs_.publish_us->record(static_cast<std::uint64_t>(publish_ms * 1000.0));
-  obs_.overloaded->set(overloaded_ ? 1 : 0);
-  // Admission counters are maintained by the queue; export per-flush
-  // deltas so the registry totals stay monotonic and cumulative.
-  obs_.admission_shed->add(adm.shed - admission_exported_.shed);
-  obs_.admission_blocked_us->add(adm.blocked_us -
-                                 admission_exported_.blocked_us);
-  obs_.admission_compacted->add(adm.compacted -
-                                admission_exported_.compacted);
-  admission_exported_ = adm;
   return epoch;
 }
 
@@ -554,7 +478,6 @@ bool StreamingEngine::durable_io(const std::function<void()>& op,
     try {
       op();
       if (attempt > 0) {
-        obs_.durability_retries->add(static_cast<std::uint64_t>(attempt));
         MutexGuard lk(stats_mu_);
         stats_.durability_retries += static_cast<std::uint64_t>(attempt);
       }
@@ -569,7 +492,6 @@ bool StreamingEngine::durable_io(const std::function<void()>& op,
         durability_degraded_ = true;
         degraded_epoch_ = published_epoch_;
         last_rearm_attempt_ = std::chrono::steady_clock::now();
-        obs_.durability_degraded->set(1);
         std::fprintf(stderr,
                      "[parcore durability] %s failed after %d attempts "
                      "(%s) — degrading to memory-only mode at epoch %llu\n",
@@ -612,8 +534,6 @@ void StreamingEngine::try_rearm_durability(std::uint64_t epoch) {
     return;  // still broken; next attempt after the interval
   }
   durability_degraded_ = false;
-  obs_.durability_degraded->set(0);
-  obs_.durability_rearms->add(1);
   std::fprintf(stderr,
                "[parcore durability] re-armed at epoch %llu (fresh "
                "checkpoint generation)\n",
@@ -728,6 +648,54 @@ EngineStats StreamingEngine::stats() const {
   s.admission = queue_.admission();
   s.quarantined = quarantined_.load(std::memory_order_relaxed);
   return s;
+}
+
+obs::Rows StreamingEngine::metric_rows() const {
+  const EngineStats s = stats();
+  const durability::Manager::Totals& d = s.durability;
+  auto flag = [](bool b) -> std::int64_t { return b ? 1 : 0; };
+  obs::Rows rows;
+  rows.counters = {
+      {"parcore_updates_submitted_total", s.submitted},
+      {"parcore_flushes_total", s.epochs},
+      {"parcore_inserts_applied_total", s.applied_inserts},
+      {"parcore_removes_applied_total", s.applied_removes},
+      {"parcore_snapshot_pages_cloned_total", s.snapshot_pages_cloned},
+      {"parcore_om_groups_reclaimed_total", s.om_groups_reclaimed},
+      {"parcore_worker_busy_us_total", s.phases.worker_busy_us},
+      {"parcore_worker_idle_us_total", s.phases.worker_idle_us},
+      {"parcore_deferred_edges_total", s.deferred_edges},
+      {"parcore_verify_runs_total", s.verify_runs},
+      {"parcore_verify_mismatches_total", s.verify_mismatches},
+      {"parcore_admission_shed_total", s.admission.shed},
+      {"parcore_admission_blocked_us_total", s.admission.blocked_us},
+      {"parcore_admission_compacted_total", s.admission.compacted},
+      {"parcore_repairs_total", s.repairs},
+      {"parcore_durability_retries_total", s.durability_retries},
+      {"parcore_durability_rearms_total", s.durability_rearms},
+      {"parcore_checkpoints_total", d.checkpoints},
+      {"parcore_wal_frames_total", d.wal_frames},
+      {"parcore_wal_bytes_total", d.wal_bytes},
+      {"parcore_wal_fsync_total", d.wal_fsyncs},
+      {"parcore_wal_truncate_repairs_total", d.wal_truncate_repairs},
+  };
+  rows.gauges = {
+      {"parcore_epoch", static_cast<std::int64_t>(s.epochs)},
+      {"parcore_flush_threshold",
+       static_cast<std::int64_t>(current_flush_threshold())},
+      {"parcore_overloaded", flag(s.overloaded)},
+      {"parcore_quarantined", flag(s.quarantined)},
+      {"parcore_durability_degraded", flag(s.durability_degraded)},
+  };
+  rows.histograms = {
+      {"parcore_flush_us", obs::snapshot_of(s.flush_us)},
+      {"parcore_flush_batch_size", obs::snapshot_of(s.batch_sizes)},
+      {"parcore_publish_us", obs::snapshot_of(s.publish_us)},
+      {"parcore_engine_init_us", s.engine_init_us},
+      {"parcore_verify_us", s.verify_us},
+      {"parcore_checkpoint_us", d.checkpoint_us},
+  };
+  return rows;
 }
 
 StreamingEngine::Options options_from_env(StreamingEngine::Options base) {

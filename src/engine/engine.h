@@ -83,15 +83,6 @@ struct EngineSnapshot {
   std::vector<VertexId> kcore_members(CoreValue k) const;
 };
 
-/// Cumulative counters since engine construction. `flush_us` /
-/// `batch_sizes` are merged across flushes; percentiles come from
-/// SizeHistogram::percentile.
-///
-/// Epoch/stats consistency: `epochs` is the epoch of the snapshot the
-/// stats describe, and a flush updates stats BEFORE swapping the new
-/// snapshot in. A reader that grabs `snapshot()` and then `stats()` is
-/// therefore guaranteed `stats().epochs >= snapshot()->epoch` — stats
-/// can run ahead of the snapshot it saw, never behind it.
 /// Outcome of one submit(), surfaced so callers can react to admission
 /// control (docs/ROBUSTNESS.md): with the kShed policy at cap the
 /// update was NOT enqueued and `accepted` is false — retry, back off,
@@ -103,6 +94,16 @@ struct SubmitResult {
   std::uint64_t blocked_us = 0;
 };
 
+/// Cumulative counters since engine construction. `flush_us` /
+/// `batch_sizes` are merged across flushes; percentiles come from
+/// SizeHistogram::percentile. These are the engine's only counts: its
+/// metric export (StreamingEngine::metric_rows) renders them.
+///
+/// Epoch/stats consistency: `epochs` is the epoch of the snapshot the
+/// stats describe, and a flush updates stats BEFORE swapping the new
+/// snapshot in. A reader that grabs `snapshot()` and then `stats()` is
+/// therefore guaranteed `stats().epochs >= snapshot()->epoch` — stats
+/// can run ahead of the snapshot it saw, never behind it.
 struct EngineStats {
   std::uint64_t epochs = 0;  // epoch described by these stats
   std::uint64_t submitted = 0;
@@ -112,6 +113,9 @@ struct EngineStats {
                               // coalescer pre-filters no-ops)
   std::uint64_t om_compactions = 0;        // quiescent compact_all() runs
   std::uint64_t om_groups_reclaimed = 0;   // OM groups freed by them
+  /// Batch edges set aside because another worker held an endpoint
+  /// (summed FlushSpan::deferred_edges).
+  std::uint64_t deferred_edges = 0;
   /// Per-phase wall time summed over every flush, microseconds. The
   /// eight phases partition each flush window (obs/trace.h FlushSpan),
   /// so their sums track `flush_us`'s total up to per-flush rounding.
@@ -153,16 +157,17 @@ struct EngineStats {
   /// keeps O(|V*|): it must track batch size, not n.
   std::uint64_t snapshot_pages_cloned = 0;
   /// Constructor wall time, microseconds: initial decomposition +
-  /// epoch-0 publish (+ initial checkpoint when durability is on). Also
-  /// recorded into the registry histogram `parcore_engine_init_us`, so
-  /// the shared summary renderer reports the cold-start cost.
-  std::uint64_t engine_init_us = 0;
+  /// epoch-0 publish (+ initial checkpoint when durability is on). One
+  /// sample, exported as the histogram `parcore_engine_init_us`.
+  obs::Histogram::Snapshot engine_init_us;
   /// Background re-verifier accounting (Options::reverify_interval_ms):
   /// full off-thread recomputes completed, and vertices whose live
   /// CoreView core disagreed with the recompute (must stay 0 — any
-  /// mismatch is a maintenance bug caught in production).
+  /// mismatch is a maintenance bug caught in production), plus the
+  /// wall time of each recompute, microseconds.
   std::uint64_t verify_runs = 0;
   std::uint64_t verify_mismatches = 0;
+  obs::Histogram::Snapshot verify_us;
   /// Self-healing (docs/ROBUSTNESS.md): full state rebuilds triggered
   /// by re-verifier mismatches, and whether queries are currently
   /// quarantined to the last verified snapshot while a repair is
@@ -237,15 +242,15 @@ class StreamingEngine {
     /// scheduler thread inside the flush window.
     std::function<void(const obs::FlushSpan&)> span_sink;
     /// > 0 spawns a reporter thread alongside the scheduler that writes
-    /// the metrics summary (obs::human_summary of the global registry)
-    /// to stderr every interval. 0 disables it.
+    /// the metrics summary (obs::human_summary of metric_rows() and the
+    /// process registry) to stderr every interval. 0 disables it.
     double report_interval_ms = 0.0;
     /// > 0 spawns a background re-verifier alongside the scheduler:
     /// every interval it copies the graph at a flush boundary, runs a
     /// full parallel exact decomposition off-thread (own ThreadTeam —
     /// never contends with flush dispatch) and compares against the
-    /// live CoreView of the same epoch, reporting runs/mismatches/
-    /// timing as parcore_verify_* through the metrics registry. 0
+    /// live CoreView of the same epoch, counting runs/mismatches/
+    /// timing in EngineStats (exported as parcore_verify_*). 0
     /// disables it. (`serve --reverify MS` / PARCORE_SERVE_REVERIFY_MS.)
     double reverify_interval_ms = 0.0;
     /// Durability (docs/DURABILITY.md): a non-empty `durability.dir`
@@ -313,6 +318,12 @@ class StreamingEngine {
   std::uint64_t epoch() const { return snapshot()->epoch; }
 
   EngineStats stats() const;
+
+  /// This engine's metrics for the exporters (obs/export.h): one
+  /// stats() read plus the current flush threshold, under the names
+  /// and kinds of docs/OBSERVABILITY.md. Process-level metrics are not
+  /// included; obs::with_process_rows adds them.
+  obs::Rows metric_rows() const;
 
   /// Ring of the most recent flush spans (per-phase timings, worker
   /// attribution); see obs/trace.h. Always recorded, obs gate or not.
@@ -438,9 +449,6 @@ class StreamingEngine {
 
   // Overload detector state (scheduler/flush thread only).
   bool overloaded_ PARCORE_GUARDED_BY(flush_mu_) = false;
-  // Last-exported admission totals, so per-flush obs updates add
-  // deltas instead of re-adding cumulative counts.
-  IngestQueue::AdmissionStats admission_exported_ PARCORE_GUARDED_BY(flush_mu_){};
 
   // Stats: counters written only by the flushing thread under
   // flush_mu_, read under stats_mu_ by stats().
@@ -449,40 +457,8 @@ class StreamingEngine {
   mutable EngineStats stats_ PARCORE_GUARDED_BY(stats_mu_);
   std::atomic<std::uint64_t> submitted_{0};
 
-  // Observability: the per-flush span ring plus cached handles into the
-  // process-global metrics registry (registered once at construction;
-  // recording through them is lock-free and gated on obs::enabled()).
+  // The per-flush span ring (obs/trace.h).
   obs::FlushTrace trace_;
-  struct ObsHandles {
-    obs::Counter* submitted = nullptr;
-    obs::Counter* flushes = nullptr;
-    obs::Counter* inserts_applied = nullptr;
-    obs::Counter* removes_applied = nullptr;
-    obs::Counter* pages_cloned = nullptr;
-    obs::Counter* om_reclaimed = nullptr;
-    obs::Counter* worker_busy_us = nullptr;
-    obs::Counter* worker_idle_us = nullptr;
-    obs::Counter* deferred_edges = nullptr;
-    obs::Gauge* epoch = nullptr;
-    obs::Gauge* threshold = nullptr;
-    obs::Histogram* flush_us = nullptr;
-    obs::Histogram* batch_size = nullptr;
-    obs::Histogram* publish_us = nullptr;
-    obs::Histogram* engine_init_us = nullptr;
-    obs::Counter* verify_runs = nullptr;
-    obs::Counter* verify_mismatches = nullptr;
-    obs::Histogram* verify_us = nullptr;
-    obs::Gauge* overloaded = nullptr;
-    obs::Counter* admission_shed = nullptr;
-    obs::Counter* admission_blocked_us = nullptr;
-    obs::Counter* admission_compacted = nullptr;
-    obs::Counter* repairs = nullptr;
-    obs::Gauge* quarantined = nullptr;
-    obs::Gauge* durability_degraded = nullptr;
-    obs::Counter* durability_retries = nullptr;
-    obs::Counter* durability_rearms = nullptr;
-  };
-  ObsHandles obs_;
 };
 
 /// `base` with every flush-policy knob overridable from the environment

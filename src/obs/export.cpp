@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 namespace parcore::obs {
@@ -25,25 +26,20 @@ void append_metric_line(std::string& out, const std::string& name,
 
 }  // namespace
 
-std::string prometheus_text(const MetricsRegistry& reg) {
-  std::vector<MetricsRegistry::CounterRow> counters;
-  std::vector<MetricsRegistry::GaugeRow> gauges;
-  std::vector<MetricsRegistry::HistogramRow> histograms;
-  reg.collect(counters, gauges, histograms);
-
+std::string prometheus_text(const Rows& rows) {
   std::string out;
-  for (const auto& c : counters) {
+  for (const auto& c : rows.counters) {
     out += "# TYPE " + c.name + " counter\n";
     append_metric_line(out, c.name, "", c.value);
   }
-  for (const auto& g : gauges) {
+  for (const auto& g : rows.gauges) {
     out += "# TYPE " + g.name + " gauge\n";
     out += g.name;
     out += ' ';
     out += std::to_string(g.value);
     out += '\n';
   }
-  for (const auto& h : histograms) {
+  for (const auto& h : rows.histograms) {
     out += "# TYPE " + h.name + " histogram\n";
     std::uint64_t acc = 0;
     for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
@@ -63,28 +59,30 @@ std::string prometheus_text(const MetricsRegistry& reg) {
   return out;
 }
 
-std::string human_summary(const MetricsRegistry& reg) {
-  std::vector<MetricsRegistry::CounterRow> counters;
-  std::vector<MetricsRegistry::GaugeRow> gauges;
-  std::vector<MetricsRegistry::HistogramRow> histograms;
-  reg.collect(counters, gauges, histograms);
-
+std::string human_summary(const Rows& rows) {
   std::ostringstream os;
-  if (!counters.empty() || !gauges.empty()) {
+  if (!rows.counters.empty() || !rows.gauges.empty()) {
     os << "metrics:\n";
-    for (const auto& c : counters)
+    for (const auto& c : rows.counters)
       os << "  " << c.name << " = " << c.value << "\n";
-    for (const auto& g : gauges)
+    for (const auto& g : rows.gauges)
       os << "  " << g.name << " = " << g.value << "\n";
   }
-  if (!histograms.empty()) {
+  if (!rows.histograms.empty()) {
     os << "histograms (count / mean / ~p50 / ~p99):\n";
-    for (const auto& h : histograms) {
+    for (const auto& h : rows.histograms) {
       char mean[32];
       std::snprintf(mean, sizeof mean, "%.1f", h.snap.mean());
+      // The last bucket is unbounded (overflow samples of a folded
+      // SizeHistogram land there too): print +Inf, not UINT64_MAX.
+      auto upper = [&h](double q) {
+        const std::uint64_t u = h.snap.quantile_upper(q);
+        return u == std::numeric_limits<std::uint64_t>::max()
+                   ? std::string("+Inf")
+                   : std::to_string(u);
+      };
       os << "  " << h.name << " = " << h.snap.count << " / " << mean
-         << " / <=" << h.snap.quantile_upper(0.5) << " / <="
-         << h.snap.quantile_upper(0.99) << "\n";
+         << " / <=" << upper(0.5) << " / <=" << upper(0.99) << "\n";
     }
   }
   return os.str();

@@ -1,4 +1,4 @@
-// Exporters over the metrics registry and the flush trace:
+// Exporters over metric rows (obs::Rows) and the flush trace:
 //   - prometheus_text: Prometheus text exposition (counters, gauges,
 //     cumulative histogram buckets) for scrapers;
 //   - human_summary:   the operator-facing grouped summary. serve,
@@ -22,9 +22,9 @@
 
 namespace parcore::obs {
 
-std::string prometheus_text(const MetricsRegistry& reg);
+std::string prometheus_text(const Rows& rows);
 
-std::string human_summary(const MetricsRegistry& reg);
+std::string human_summary(const Rows& rows);
 
 std::string trace_json_line(const FlushSpan& span);
 

@@ -1,6 +1,9 @@
 #include "obs/metrics.h"
 
+#include <iterator>
+
 #include "support/env.h"
+#include "support/histogram.h"
 
 namespace parcore::obs {
 
@@ -73,28 +76,54 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return histograms_.get_or_create(name);
 }
 
-void MetricsRegistry::collect(std::vector<CounterRow>& counters,
-                              std::vector<GaugeRow>& gauges,
-                              std::vector<HistogramRow>& histograms) const {
+Histogram::Snapshot snapshot_of(const SizeHistogram& h) {
+  Histogram::Snapshot s;
+  const std::size_t max_exact = h.max_exact();
+  for (std::size_t v = 0; v <= max_exact; ++v) {
+    const std::size_t b = Histogram::bucket_of(v);
+    // The bucket straddling max_exact would miss the overflow samples
+    // inside its range, so its exact samples go to +Inf as well.
+    s.counts[Histogram::bucket_upper(b) <= max_exact ? b
+                                                     : Histogram::kBuckets - 1] +=
+        h.count_at(v);
+  }
+  s.counts[Histogram::kBuckets - 1] += h.overflow();
+  s.count = h.total();
+  s.sum = h.sum();
+  return s;
+}
+
+Rows MetricsRegistry::collect() const {
+  Rows rows;
   MutexGuard lk(mu_);
-  counters.clear();
-  gauges.clear();
-  histograms.clear();
-  counters.reserve(counters_.entries.size());
+  rows.counters.reserve(counters_.entries.size());
   for (const auto& [name, m] : counters_.entries)
-    counters.push_back({name, m->value()});
-  gauges.reserve(gauges_.entries.size());
+    rows.counters.push_back({name, m->value()});
+  rows.gauges.reserve(gauges_.entries.size());
   for (const auto& [name, m] : gauges_.entries)
-    gauges.push_back({name, m->value()});
-  histograms.reserve(histograms_.entries.size());
+    rows.gauges.push_back({name, m->value()});
+  rows.histograms.reserve(histograms_.entries.size());
   for (const auto& [name, m] : histograms_.entries)
-    histograms.push_back({name, m->snapshot()});
+    rows.histograms.push_back({name, m->snapshot()});
+  return rows;
 }
 
 MetricsRegistry& registry() {
   static MetricsRegistry* global = new MetricsRegistry();  // never destroyed:
   // library layers record from arbitrary threads during static teardown
   return *global;
+}
+
+Rows with_process_rows(Rows rows) {
+  Rows process = registry().collect();
+  auto move_all = [](auto& to, auto& from) {
+    to.insert(to.end(), std::make_move_iterator(from.begin()),
+              std::make_move_iterator(from.end()));
+  };
+  move_all(rows.counters, process.counters);
+  move_all(rows.gauges, process.gauges);
+  move_all(rows.histograms, process.histograms);
+  return rows;
 }
 
 }  // namespace parcore::obs

@@ -10,17 +10,16 @@
 //                per-thread sharded like counters. Approximate
 //                quantiles come from the cumulative bucket counts.
 //
-// Two kill switches:
-//   - compile time: -DPARCORE_OBS_OFF (CMake -DPARCORE_OBS=OFF) turns
-//     every record call into a no-op the optimizer deletes entirely;
-//   - runtime: the PARCORE_OBS environment variable ("off"/"0"/"false"
-//     disables; anything else, or unset, enables). Disabled recording
-//     is one relaxed atomic load and a predicted branch.
+// One kill switch: the PARCORE_OBS environment variable ("off"/"0"/
+// "false" disables; anything else, or unset, enables). Disabled
+// recording is one relaxed atomic load and a predicted branch.
 //
 // Handles returned by MetricsRegistry are stable for the registry's
 // lifetime — register once (cache the reference), record forever.
-// `registry()` is the process-global instance every library layer
-// reports into; tests construct private registries.
+// `registry()` is the process-global instance for process-level
+// metrics (slab arena, snapshot index, JE fallbacks); a streaming
+// engine counts in its own EngineStats and renders them as rows
+// (StreamingEngine::metric_rows). Tests construct private registries.
 #pragma once
 
 #include <array>
@@ -36,13 +35,11 @@
 #include "sync/annotations.h"
 #include "sync/mutex.h"
 
-namespace parcore::obs {
+namespace parcore {
+class SizeHistogram;
+}  // namespace parcore
 
-#ifdef PARCORE_OBS_OFF
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
+namespace parcore::obs {
 
 /// Runtime gate (PARCORE_OBS env var, cached on first call).
 bool enabled();
@@ -67,7 +64,7 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void add(std::uint64_t delta) {
-    if (!kCompiledIn || !enabled()) return;
+    if (!enabled()) return;
     cells_[detail::shard_index()].v.fetch_add(delta,
                                               std::memory_order_relaxed);
   }
@@ -95,11 +92,11 @@ class Gauge {
   Gauge& operator=(const Gauge&) = delete;
 
   void set(std::int64_t v) {
-    if (!kCompiledIn || !enabled()) return;
+    if (!enabled()) return;
     v_.store(v, std::memory_order_relaxed);
   }
   void add(std::int64_t delta) {
-    if (!kCompiledIn || !enabled()) return;
+    if (!enabled()) return;
     v_.fetch_add(delta, std::memory_order_relaxed);
   }
   std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
@@ -120,7 +117,7 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void record(std::uint64_t value) {
-    if (!kCompiledIn || !enabled()) return;
+    if (!enabled()) return;
     Shard& s = shards_[detail::shard_index()];
     s.counts[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
     s.sum.fetch_add(value, std::memory_order_relaxed);
@@ -138,10 +135,18 @@ class Histogram {
     return (std::uint64_t{1} << b) - 1;
   }
 
+  /// Also a plain single-owner histogram (record() without atomics or
+  /// the runtime gate), which is how EngineStats keeps its own.
   struct Snapshot {
     std::array<std::uint64_t, kBuckets> counts{};
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
+
+    void record(std::uint64_t value) {
+      ++counts[bucket_of(value)];
+      ++count;
+      sum += value;
+    }
 
     double mean() const {
       return count == 0 ? 0.0
@@ -174,6 +179,35 @@ class Histogram {
   std::array<Shard, detail::kShards> shards_{};
 };
 
+/// `h` folded into power-of-two buckets for export. A finite bucket is
+/// filled only when its whole range lies in h's exact range
+/// [0, max_exact], so every finite bucket is exact; overflow samples,
+/// and exact ones in the bucket straddling max_exact, land only in the
+/// last (+Inf) bucket. count and sum are exact.
+Histogram::Snapshot snapshot_of(const SizeHistogram& h);
+
+struct CounterRow {
+  std::string name;
+  std::uint64_t value;
+};
+struct GaugeRow {
+  std::string name;
+  std::int64_t value;
+};
+struct HistogramRow {
+  std::string name;
+  Histogram::Snapshot snap;
+};
+
+/// A point-in-time read of a set of metrics, the exporters' input:
+/// MetricsRegistry::collect() yields the process rows and
+/// StreamingEngine::metric_rows() one engine's.
+struct Rows {
+  std::vector<CounterRow> counters;
+  std::vector<GaugeRow> gauges;
+  std::vector<HistogramRow> histograms;
+};
+
 /// Named metric families. Registration (first lookup of a name) takes a
 /// mutex; recording through a returned handle never does. Handles stay
 /// valid for the registry's lifetime.
@@ -187,23 +221,9 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  struct CounterRow {
-    std::string name;
-    std::uint64_t value;
-  };
-  struct GaugeRow {
-    std::string name;
-    std::int64_t value;
-  };
-  struct HistogramRow {
-    std::string name;
-    Histogram::Snapshot snap;
-  };
-
   /// Point-in-time read of every registered metric, each list in
   /// registration order (stable export ordering).
-  void collect(std::vector<CounterRow>& counters, std::vector<GaugeRow>& gauges,
-               std::vector<HistogramRow>& histograms) const;
+  Rows collect() const;
 
  private:
   template <typename T>
@@ -223,7 +243,11 @@ class MetricsRegistry {
   Family<Histogram> histograms_ PARCORE_GUARDED_BY(mu_);
 };
 
-/// The process-global registry every parcore layer reports into.
+/// The process-global registry for process-level metrics.
 MetricsRegistry& registry();
+
+/// `rows` followed by the process rows (registry().collect()), kind by
+/// kind: what serve's endpoints and an engine's reporter thread render.
+Rows with_process_rows(Rows rows);
 
 }  // namespace parcore::obs

@@ -30,6 +30,9 @@ class SizeHistogram {
     return value < counts_.size() ? counts_[value] : 0;
   }
   std::uint64_t overflow() const { return overflow_; }
+  /// Largest value counted exactly; larger ones go to overflow().
+  std::size_t max_exact() const { return counts_.size() - 1; }
+  std::uint64_t sum() const { return sum_; }
   std::size_t max_seen() const { return max_seen_; }
   double mean() const {
     return total_ == 0 ? 0.0 : static_cast<double>(sum_) / total_;

@@ -14,7 +14,6 @@
 #include "engine/ingest.h"
 #include "gen/generators.h"
 #include "graph/edge_list.h"
-#include "support/histogram.h"
 #include "test_util.h"
 
 namespace parcore {
@@ -627,18 +626,87 @@ TEST(Engine, SchedulerRunsRepairFlushWithoutNewSubmits) {
                            "background repair");
 }
 
-TEST(Histogram, PercentileBounds) {
-  SizeHistogram h(100);
-  for (std::size_t v = 1; v <= 100; ++v) h.record(v);
-  EXPECT_EQ(h.percentile(0.5), 50u);
-  EXPECT_EQ(h.percentile(0.99), 99u);
-  EXPECT_EQ(h.percentile(1.0), 100u);
-  EXPECT_EQ(h.percentile(0.0), 1u);
-  SizeHistogram empty(8);
-  EXPECT_EQ(empty.percentile(0.5), 0u);
-  SizeHistogram tiny(4);
-  tiny.record(1000);  // overflow bucket
-  EXPECT_EQ(tiny.percentile(0.5), 1000u);
+// ------------------------------------------------------ metric export
+
+std::uint64_t counter_row(const obs::Rows& rows, const std::string& name) {
+  for (const obs::CounterRow& r : rows.counters)
+    if (r.name == name) return r.value;
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+std::int64_t gauge_row(const obs::Rows& rows, const std::string& name) {
+  for (const obs::GaugeRow& r : rows.gauges)
+    if (r.name == name) return r.value;
+  ADD_FAILURE() << "no gauge " << name;
+  return 0;
+}
+
+const obs::Histogram::Snapshot* histogram_row(const obs::Rows& rows,
+                                              const std::string& name) {
+  for (const obs::HistogramRow& r : rows.histograms)
+    if (r.name == name) return &r.snap;
+  ADD_FAILURE() << "no histogram " << name;
+  return nullptr;
+}
+
+// Two engines in one process: each one's export renders its own
+// stats(), never a process-wide sum, and the submitted count is exact
+// before any flush drains it.
+TEST(EngineMetrics, TwoEnginesExportTheirOwnStats) {
+  test::Workload wa = test::make_workload(test::Family::kRmat, 300, 0.4, 41);
+  test::Workload wb = test::hub_workload(400, 120, 43);
+  auto ga = DynamicGraph::from_edges(wa.n, wa.base);
+  auto gb = DynamicGraph::from_edges(wb.n, wb.base);
+  ThreadTeam team_a(2), team_b(4);
+  StreamingEngine::Options opts;
+  opts.workers = 4;
+  StreamingEngine a(ga, team_a), b(gb, team_b, opts);
+
+  for (const Edge& e : wa.batch) a.submit_insert(e.u, e.v);
+  a.flush_now();
+  for (const Edge& e : wb.batch) b.submit_insert(e.u, e.v);
+  b.flush_now();
+  for (const Edge& e : wb.batch) b.submit_remove(e.u, e.v);
+  b.flush_now();
+  // Buffered, not yet flushed: counted as submitted all the same.
+  a.submit_insert(wa.batch[0].u, wa.batch[0].v);
+
+  const engine::EngineStats sa = a.stats();
+  const engine::EngineStats sb = b.stats();
+  EXPECT_EQ(sa.epochs, 1u);
+  EXPECT_EQ(sb.epochs, 2u);
+  EXPECT_EQ(sa.submitted, wa.batch.size() + 1);
+  EXPECT_EQ(sb.submitted, 2 * wb.batch.size());
+  EXPECT_GT(sb.applied_removes, 0u);
+
+  for (const StreamingEngine* eng : {&a, &b}) {
+    const engine::EngineStats s = eng->stats();
+    const obs::Rows rows = eng->metric_rows();
+    EXPECT_EQ(counter_row(rows, "parcore_flushes_total"), s.epochs);
+    EXPECT_EQ(gauge_row(rows, "parcore_epoch"),
+              static_cast<std::int64_t>(s.epochs));
+    EXPECT_EQ(counter_row(rows, "parcore_updates_submitted_total"),
+              s.submitted);
+    EXPECT_EQ(counter_row(rows, "parcore_inserts_applied_total"),
+              s.applied_inserts);
+    EXPECT_EQ(counter_row(rows, "parcore_removes_applied_total"),
+              s.applied_removes);
+    EXPECT_EQ(counter_row(rows, "parcore_deferred_edges_total"),
+              s.deferred_edges);
+    EXPECT_EQ(gauge_row(rows, "parcore_flush_threshold"),
+              static_cast<std::int64_t>(eng->current_flush_threshold()));
+    std::uint64_t deferred = 0;
+    for (const obs::FlushSpan& span : eng->trace().snapshot())
+      deferred += span.deferred_edges;
+    EXPECT_EQ(s.deferred_edges, deferred);
+    if (const obs::Histogram::Snapshot* h =
+            histogram_row(rows, "parcore_flush_us"))
+      EXPECT_EQ(h->count, s.epochs);
+    if (const obs::Histogram::Snapshot* h =
+            histogram_row(rows, "parcore_engine_init_us"))
+      EXPECT_EQ(h->count, 1u);
+  }
 }
 
 }  // namespace

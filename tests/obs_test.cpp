@@ -11,22 +11,20 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "support/histogram.h"
 
 namespace parcore::obs {
 namespace {
 
-// Recording tests need the compile-time switch on and the runtime gate
-// open; the gate is restored per-test so suite order never matters.
+// Recording tests need the runtime gate open; the gate is restored
+// per-test so suite order never matters.
 class ObsRecordingTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kCompiledIn) GTEST_SKIP() << "built with PARCORE_OBS=OFF";
     was_enabled_ = enabled();
     set_enabled(true);
   }
-  void TearDown() override {
-    if (kCompiledIn) set_enabled(was_enabled_);
-  }
+  void TearDown() override { set_enabled(was_enabled_); }
 
  private:
   bool was_enabled_ = true;
@@ -133,18 +131,15 @@ TEST_F(ObsRegistryTest, CollectPreservesRegistrationOrder) {
   reg.gauge("z").set(-5);
   reg.histogram("lat").record(3);
 
-  std::vector<MetricsRegistry::CounterRow> counters;
-  std::vector<MetricsRegistry::GaugeRow> gauges;
-  std::vector<MetricsRegistry::HistogramRow> histograms;
-  reg.collect(counters, gauges, histograms);
-  ASSERT_EQ(counters.size(), 2u);
-  EXPECT_EQ(counters[0].name, "b_total");  // registration, not sort, order
-  EXPECT_EQ(counters[0].value, 2u);
-  EXPECT_EQ(counters[1].name, "a_total");
-  ASSERT_EQ(gauges.size(), 1u);
-  EXPECT_EQ(gauges[0].value, -5);
-  ASSERT_EQ(histograms.size(), 1u);
-  EXPECT_EQ(histograms[0].snap.count, 1u);
+  const Rows rows = reg.collect();
+  ASSERT_EQ(rows.counters.size(), 2u);
+  EXPECT_EQ(rows.counters[0].name, "b_total");  // registration, not sort
+  EXPECT_EQ(rows.counters[0].value, 2u);
+  EXPECT_EQ(rows.counters[1].name, "a_total");
+  ASSERT_EQ(rows.gauges.size(), 1u);
+  EXPECT_EQ(rows.gauges[0].value, -5);
+  ASSERT_EQ(rows.histograms.size(), 1u);
+  EXPECT_EQ(rows.histograms[0].snap.count, 1u);
 }
 
 // Registration races recording and collection: 8 threads repeatedly
@@ -162,13 +157,7 @@ TEST_F(ObsRegistryTest, ConcurrentRegisterRecordCollect) {
       for (int i = 0; i < kIters; ++i) {
         reg.counter(name).inc();
         expected.fetch_add(1, std::memory_order_relaxed);
-        if (i % 256 == 0) {
-          std::vector<MetricsRegistry::CounterRow> counters;
-          std::vector<MetricsRegistry::GaugeRow> gauges;
-          std::vector<MetricsRegistry::HistogramRow> histograms;
-          reg.collect(counters, gauges, histograms);
-          EXPECT_LE(counters.size(), 3u);
-        }
+        if (i % 256 == 0) EXPECT_LE(reg.collect().counters.size(), 3u);
       }
     });
   for (auto& th : pool) th.join();
@@ -255,7 +244,7 @@ TEST_F(ObsExportTest, PrometheusTextGolden) {
   h.record(1);
   h.record(5);
 
-  const std::string text = prometheus_text(reg);
+  const std::string text = prometheus_text(reg.collect());
   EXPECT_EQ(text,
             "# TYPE parcore_test_flushes_total counter\n"
             "parcore_test_flushes_total 3\n"
@@ -276,7 +265,7 @@ TEST_F(ObsExportTest, HumanSummaryGolden) {
   Histogram& h = reg.histogram("flush_us");
   for (int i = 0; i < 4; ++i) h.record(100);
 
-  EXPECT_EQ(human_summary(reg),
+  EXPECT_EQ(human_summary(reg.collect()),
             "metrics:\n"
             "  updates_total = 10\n"
             "  epoch = 4\n"
@@ -286,8 +275,46 @@ TEST_F(ObsExportTest, HumanSummaryGolden) {
 
 TEST(ObsExportPlain, EmptyRegistryRendersEmpty) {
   MetricsRegistry reg;
-  EXPECT_EQ(prometheus_text(reg), "");
-  EXPECT_EQ(human_summary(reg), "");
+  EXPECT_EQ(prometheus_text(reg.collect()), "");
+  EXPECT_EQ(human_summary(reg.collect()), "");
+}
+
+// An engine's SizeHistogram folded for export (snapshot_of): buckets
+// wholly inside the exact range [0, 10] are exact, the bucket [8, 15]
+// straddling 10 stays empty (its exact sample 9 would sit beside
+// overflow samples it cannot see), overflow lands only in +Inf, and
+// _sum/_count are exact.
+TEST(ObsExportPlain, SizeHistogramPrometheusGolden) {
+  SizeHistogram h(10);
+  for (std::size_t v : {1, 1, 3, 7, 9, 50, 1000}) h.record(v);
+  Rows rows;
+  rows.histograms.push_back({"parcore_test_flush_us", snapshot_of(h)});
+  EXPECT_EQ(prometheus_text(rows),
+            "# TYPE parcore_test_flush_us histogram\n"
+            "parcore_test_flush_us_bucket{le=\"1\"} 2\n"
+            "parcore_test_flush_us_bucket{le=\"3\"} 3\n"
+            "parcore_test_flush_us_bucket{le=\"7\"} 4\n"
+            "parcore_test_flush_us_bucket{le=\"+Inf\"} 7\n"
+            "parcore_test_flush_us_sum 1071\n"
+            "parcore_test_flush_us_count 7\n");
+  // The summary's quantile bound for the unbounded bucket reads +Inf.
+  EXPECT_EQ(human_summary(rows),
+            "histograms (count / mean / ~p50 / ~p99):\n"
+            "  parcore_test_flush_us = 7 / 153.0 / <=3 / <=+Inf\n");
+}
+
+TEST_F(ObsExportTest, ProcessRowsFollowTheGivenRows) {
+  registry().counter("parcore_test_process_total").add(2);
+  Rows engine_rows;
+  engine_rows.counters.push_back({"parcore_test_engine_total", 1});
+  const Rows rows = with_process_rows(engine_rows);
+  ASSERT_GE(rows.counters.size(), 2u);
+  EXPECT_EQ(rows.counters[0].name, "parcore_test_engine_total");
+  std::uint64_t process = 0;
+  for (std::size_t i = 1; i < rows.counters.size(); ++i)
+    if (rows.counters[i].name == "parcore_test_process_total")
+      process = rows.counters[i].value;
+  EXPECT_EQ(process, 2u);
 }
 
 TEST(ObsExportPlain, TraceJsonLineGolden) {

@@ -242,7 +242,15 @@ TEST(Histogram, PercentileExactRange) {
   for (std::size_t v = 1; v <= 100; ++v) h.record(v);
   EXPECT_EQ(h.percentile(0.0), 1u);
   EXPECT_EQ(h.percentile(0.5), 50u);
+  EXPECT_EQ(h.percentile(0.99), 99u);
   EXPECT_EQ(h.percentile(1.0), 100u);
+  SizeHistogram empty(8);
+  EXPECT_EQ(empty.percentile(0.5), 0u);
+  // A lone overflow sample is the whole distribution: every percentile
+  // is that sample.
+  SizeHistogram tiny(4);
+  tiny.record(1000);
+  EXPECT_EQ(tiny.percentile(0.5), 1000u);
 }
 
 TEST(Histogram, PercentileInterpolatesOverflow) {

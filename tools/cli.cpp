@@ -184,11 +184,10 @@ void print_load_summary(const std::string& path, const io::GraphData& data,
 
 /// The one operator-facing metrics renderer (docs/OBSERVABILITY.md):
 /// serve's closing report, serve's /summary HTTP endpoint and
-/// `stats --live` all print the global registry through this exporter,
-/// so the three surfaces can never drift apart.
-void print_metrics_summary(std::FILE* out) {
-  const std::string s = obs::human_summary(obs::registry());
-  if (!s.empty()) std::fputs(s.c_str(), out);
+/// `stats --live` all print the engine's rows, then the process rows,
+/// through this exporter, so the three surfaces can never drift apart.
+std::string metrics_summary(const engine::StreamingEngine& eng) {
+  return obs::human_summary(obs::with_process_rows(eng.metric_rows()));
 }
 
 bool cores_match(const std::vector<CoreValue>& got,
@@ -643,8 +642,9 @@ verification is skipped because the op stream was cut short).
 Engine flush policy comes from PARCORE_ENGINE_* (docs/CONFIG.md);
 PARCORE_WAL_* sets the same durability knobs environment-wide;
 PARCORE_ENGINE_SNAPSHOT_PAGE sizes the copy-on-write snapshot pages;
-PARCORE_OBS gates metrics recording, PARCORE_OBS_REPORT_MS enables the
-periodic stderr reporter.
+PARCORE_OBS gates recording of the process-level metrics (slab arena,
+snapshot index; the engine always keeps its own counts),
+PARCORE_OBS_REPORT_MS enables the periodic stderr reporter.
 )";
 
 int cmd_serve(const Args& args) {
@@ -723,27 +723,32 @@ int cmd_serve(const Args& args) {
     };
   }
 
+  const long metrics_port = args.get_int("metrics-port", 0);
+  if (metrics_port < 0 || metrics_port > 65535)
+    throw UsageError("--metrics-port must be in [0, 65535]");
+
+  DynamicGraph g(stream.num_vertices);
+  ThreadTeam team(std::max(opts.workers, producers));
+  engine::StreamingEngine eng(g, team, opts);
+
   // --metrics-port: live HTTP exposition while the run is in flight.
+  // Declared after `eng`, so the server stops before the engine dies.
   obs::MetricsHttpServer http;
   if (args.has("metrics-port")) {
-    const long port = args.get_int("metrics-port", 0);
-    if (port < 0 || port > 65535)
-      throw UsageError("--metrics-port must be in [0, 65535]");
     if (!http.start(
-            static_cast<int>(port),
-            [] { return obs::prometheus_text(obs::registry()); },
-            [] { return obs::human_summary(obs::registry()); })) {
+            static_cast<int>(metrics_port),
+            [&eng] {
+              return obs::prometheus_text(
+                  obs::with_process_rows(eng.metric_rows()));
+            },
+            [&eng] { return metrics_summary(eng); })) {
       std::fprintf(stderr, "parcore_cli: cannot bind metrics port %ld\n",
-                   port);
+                   metrics_port);
       return 1;
     }
     std::printf("metrics: http://127.0.0.1:%d/metrics (and /summary)\n",
                 http.port());
   }
-
-  DynamicGraph g(stream.num_vertices);
-  ThreadTeam team(std::max(opts.workers, producers));
-  engine::StreamingEngine eng(g, team, opts);
   eng.start();
 
   const std::vector<std::vector<GraphUpdate>> streams =
@@ -922,10 +927,10 @@ int cmd_serve(const Args& args) {
                 static_cast<unsigned long long>(stats.verify_runs),
                 static_cast<unsigned long long>(stats.verify_mismatches),
                 static_cast<unsigned long long>(stats.repairs));
-  // Arena footprint, OM reclamation, worker counters and the rest
-  // of the registry all render through the shared summary exporter —
+  // OM reclamation, worker counters, the arena footprint and the rest
+  // of the metrics all render through the shared summary exporter —
   // the same bytes serve's /summary endpoint and `stats --live` return.
-  print_metrics_summary(stdout);
+  std::fputs(metrics_summary(eng).c_str(), stdout);
 
   if (interrupted) {
     // The producers were cut short mid-stream, so the full-stream
