@@ -9,20 +9,21 @@
 // Emits BENCH_engine.json (see harness.h: PARCORE_BENCH_JSON_DIR) so
 // the perf trajectory is machine-readable across PRs. The measurement
 // cell and JSON row schema live in the harness (run_engine_cell /
-// engine_cell_json), shared with `parcore_cli bench`.
-// The payload also carries an `obs_overhead` cell pair: one
-// representative configuration measured with registry recording
-// disabled then enabled (obs::set_enabled, best of 3 each,
-// alternating), backing the <= 2% observability-overhead guard in CI.
-// The gate covers the process rows (slab arena, snapshot index); the
-// engine keeps its own counts in EngineStats either way.
+// engine_cell_json).
+// The payload also carries an `obs_overhead` cell pair backing the
+// <= 2% observability-overhead guard in CI: one representative
+// configuration run without a span sink ("off") and with one that
+// renders every flush span as a JSON line into memory ("on": serve's
+// --trace-out work minus the file write), best of 3 each, alternating.
+// The engine's own counts (EngineStats) are kept on both sides; the
+// span sink is the one optional recording path.
 #include <algorithm>
 #include <cstdio>
 
 #include "graph/edge_list.h"
 #include "harness.h"
 #include "io/graph_reader.h"
-#include "obs/metrics.h"
+#include "obs/export.h"
 
 using namespace parcore;
 using namespace parcore::bench;
@@ -112,33 +113,36 @@ int main() {
   }
   table.print();
 
-  // Observability overhead: same cell, recording off vs on, alternated
-  // so machine drift hits both sides equally; best-of-3 damps scheduler
-  // noise. The runtime gate (not a rebuild) is the comparison the CI
-  // guard needs: one binary, two states.
-  const bool obs_was_enabled = obs::enabled();
+  // Observability overhead: same cell without and with a span sink,
+  // alternated so machine drift hits both sides equally; best-of-3
+  // damps scheduler noise. The sink renders each span as serve's
+  // --trace-out does, into a string instead of a file.
   double best_off = 0.0, best_on = 0.0;
   {
     const std::vector<std::vector<GraphUpdate>> streams =
         producer_update_streams(all, 2, ops_total);
-    engine::StreamingEngine::Options opts;
-    opts.workers = std::min(env.max_workers, 4);
-    opts.flush_threshold = 2048;
-    opts.flush_interval_ms = 2.0;
+    engine::StreamingEngine::Options off;
+    off.workers = std::min(env.max_workers, 4);
+    off.flush_threshold = 2048;
+    off.flush_interval_ms = 2.0;
+    std::string trace_lines;
+    engine::StreamingEngine::Options on = off;
+    on.span_sink = [&trace_lines](const obs::FlushSpan& span) {
+      trace_lines += obs::trace_json_line(span);
+      trace_lines += '\n';
+    };
     for (int rep = 0; rep < 3; ++rep) {
-      obs::set_enabled(false);
       best_off = std::max(
           best_off,
-          run_engine_cell(num_vertices, base, streams, team, opts)
+          run_engine_cell(num_vertices, base, streams, team, off)
               .updates_per_sec);
-      obs::set_enabled(true);
+      trace_lines.clear();
       best_on = std::max(
           best_on,
-          run_engine_cell(num_vertices, base, streams, team, opts)
+          run_engine_cell(num_vertices, base, streams, team, on)
               .updates_per_sec);
     }
   }
-  obs::set_enabled(obs_was_enabled);
   const double overhead_pct =
       best_off > 0.0 ? 100.0 * (best_off - best_on) / best_off : 0.0;
   std::printf("\nobs overhead: off %.1f kups, on %.1f kups (%.2f%%)\n",

@@ -87,8 +87,8 @@ AlgoTimes time_parallel_order(const PreparedWorkload& w, ThreadTeam& team,
 AlgoTimes time_je(const PreparedWorkload& w, ThreadTeam& team, int workers,
                   int reps);
 
-/// One streaming-engine measurement cell, shared by
-/// bench_engine_throughput and `parcore_cli bench`: builds a fresh
+/// One streaming-engine measurement cell, shared by the engine benches
+/// (engine throughput, durability, overload): builds a fresh
 /// engine over `base`, replays the per-producer streams concurrently
 /// (stop() drains the tail inside the measured window), and reports
 /// end-to-end throughput plus the engine's own stats.
@@ -103,11 +103,11 @@ EngineCellResult run_engine_cell(
     const std::vector<std::vector<GraphUpdate>>& streams, ThreadTeam& team,
     const engine::StreamingEngine::Options& opts);
 
-/// The engine benches' producer workload (also shared with
-/// `parcore_cli bench`): producer p draws ops_total/producers updates
-/// from its own contiguous slice of the edge pool — disjoint universes
-/// keep the end state deterministic — with a fixed seed and
-/// hot/remove-fraction mix, so every surface measures identical work.
+/// The engine benches' producer workload: producer p draws
+/// ops_total/producers updates from its own contiguous slice of the
+/// edge pool — disjoint universes keep the end state deterministic —
+/// with a fixed seed and hot/remove-fraction mix, so every surface
+/// measures identical work.
 std::vector<std::vector<GraphUpdate>> producer_update_streams(
     const std::vector<Edge>& pool, int producers, std::size_t ops_total);
 
@@ -155,8 +155,8 @@ class Json {
 /// (pretty-printed) and prints the path. Returns the path written.
 std::string write_bench_json(const std::string& name, const Json& payload);
 
-/// The BENCH_engine.json row for one engine cell — one schema shared by
-/// bench_engine_throughput and `parcore_cli bench`.
+/// The BENCH_engine.json row for one engine cell (bench_engine_throughput,
+/// synthetic or PARCORE_BENCH_INPUT graph).
 Json engine_cell_json(const std::string& policy, int producers, int workers,
                       const EngineCellResult& r);
 

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "decomp/bz.h"
-#include "obs/metrics.h"
 
 namespace parcore {
 
@@ -359,13 +358,9 @@ std::size_t JeMaintainer::run_rounds(std::span<const Edge> edges,
     const bool sequential_fallback = round > opts_.max_rounds;
     const int round_workers = sequential_fallback ? 1 : workers;
     // The fallback silently serialises convergence-tail rounds; count
-    // each one so a workload stuck past max_rounds is visible in the
-    // registry instead of just "JE got slow".
-    if (sequential_fallback) {
-      static obs::Counter& fallbacks =
-          obs::registry().counter("parcore_je_sequential_fallbacks");
-      fallbacks.add(1);
-    }
+    // each one so a workload stuck past max_rounds is visible instead
+    // of just "JE got slow".
+    if (sequential_fallback) ++sequential_fallbacks_;
     team_.run(round_workers, [&](int wid) {
       Ctx& ctx = ctxs_[static_cast<std::size_t>(wid)];
       std::size_t local_done = 0;

@@ -119,6 +119,10 @@ class JeMaintainer {
 
   const JeGraph& graph() const { return graph_; }
 
+  /// Rounds run on one worker because a batch outlived
+  /// Options::max_rounds, summed over this maintainer's batches.
+  std::uint64_t sequential_fallbacks() const { return sequential_fallbacks_; }
+
  private:
   struct Ctx {
     std::vector<std::uint32_t> visit_mark;
@@ -158,6 +162,7 @@ class JeMaintainer {
   std::unique_ptr<std::atomic<CoreValue>[]> core_;
   std::unique_ptr<std::atomic<CoreValue>[]> mcd_;
   std::size_t n_ = 0;
+  std::uint64_t sequential_fallbacks_ = 0;
   CoreValue max_core_ = 0;
 
   std::unique_ptr<Spinlock[]> level_locks_;

@@ -115,7 +115,7 @@ class Manager {
     /// Failed appends rolled back to the last committed frame boundary.
     std::uint64_t wal_truncate_repairs = 0;
     /// Wall time of each committed checkpoint, microseconds.
-    obs::Histogram::Snapshot checkpoint_us;
+    obs::Histogram checkpoint_us;
   };
   const Totals& totals() const { return totals_; }
 

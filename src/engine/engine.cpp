@@ -39,7 +39,7 @@ StreamingEngine::StreamingEngine(DynamicGraph& g, ThreadTeam& team,
   // build. Every later epoch is a COW delta on top of it.
   query::CoreView view = index_.rebuild(
       graph_.num_vertices(), [this](VertexId v) { return maintainer_.core(v); });
-  stats_.snapshot_pages_cloned += index_.last_pages_cloned();
+  stats_.publish_pages_cloned.record(index_.last_pages_cloned());
   auto snap = build_snapshot(0, std::move(view));
   {
     SpinGuard g(snap_mu_);
@@ -172,7 +172,7 @@ void StreamingEngine::reporter_loop() {
     reporter_notifier_.wait_for(interval);
     if (reporter_notifier_.stop_requested()) return;
     const std::string summary =
-        obs::human_summary(obs::with_process_rows(metric_rows()));
+        obs::human_summary(metric_rows());
     // One write, unbuffered target: interleaves sanely with other
     // stderr traffic.
     std::fprintf(stderr, "[parcore obs] epoch=%llu\n%s",
@@ -444,7 +444,7 @@ std::uint64_t StreamingEngine::flush_locked() {
     stats_.overloaded = overloaded_;
     if (overloaded_) ++stats_.overload_flushes;
     if (durability_) stats_.durability = durability_->totals();
-    stats_.snapshot_pages_cloned += index_.last_pages_cloned();
+    stats_.publish_pages_cloned.record(index_.last_pages_cloned());
     stats_.publish_us.record(static_cast<std::size_t>(publish_ms * 1000.0));
     stats_.flush_us.record(static_cast<std::size_t>(flush_ms * 1000.0));
     stats_.batch_sizes.record(raw.size());
@@ -652,6 +652,9 @@ EngineStats StreamingEngine::stats() const {
 
 obs::Rows StreamingEngine::metric_rows() const {
   const EngineStats s = stats();
+  // Live, not the lazily refreshed `memory` sample: O(shards) under the
+  // arena's shard spinlocks, so a running flush is fine.
+  const SlabStoreStats arena = graph_.arena_stats();
   const durability::Manager::Totals& d = s.durability;
   auto flag = [](bool b) -> std::int64_t { return b ? 1 : 0; };
   obs::Rows rows;
@@ -660,7 +663,9 @@ obs::Rows StreamingEngine::metric_rows() const {
       {"parcore_flushes_total", s.epochs},
       {"parcore_inserts_applied_total", s.applied_inserts},
       {"parcore_removes_applied_total", s.applied_removes},
-      {"parcore_snapshot_pages_cloned_total", s.snapshot_pages_cloned},
+      {"parcore_snapshot_pages_cloned_total", s.publish_pages_cloned.sum},
+      {"parcore_publishes_total", s.epochs - s.repairs},
+      {"parcore_index_rebuilds_total", 1 + s.repairs},
       {"parcore_om_groups_reclaimed_total", s.om_groups_reclaimed},
       {"parcore_worker_busy_us_total", s.phases.worker_busy_us},
       {"parcore_worker_idle_us_total", s.phases.worker_idle_us},
@@ -686,11 +691,16 @@ obs::Rows StreamingEngine::metric_rows() const {
       {"parcore_overloaded", flag(s.overloaded)},
       {"parcore_quarantined", flag(s.quarantined)},
       {"parcore_durability_degraded", flag(s.durability_degraded)},
+      {"parcore_arena_reserved_bytes",
+       static_cast<std::int64_t>(arena.reserved_bytes)},
+      {"parcore_arena_chunks",
+       static_cast<std::int64_t>(arena.chunk_count + arena.jumbo_count)},
   };
   rows.histograms = {
       {"parcore_flush_us", obs::snapshot_of(s.flush_us)},
       {"parcore_flush_batch_size", obs::snapshot_of(s.batch_sizes)},
       {"parcore_publish_us", obs::snapshot_of(s.publish_us)},
+      {"parcore_publish_pages_cloned", s.publish_pages_cloned},
       {"parcore_engine_init_us", s.engine_init_us},
       {"parcore_verify_us", s.verify_us},
       {"parcore_checkpoint_us", d.checkpoint_us},

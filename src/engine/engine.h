@@ -151,15 +151,16 @@ struct EngineStats {
   GraphMemoryStats memory;
   std::uint64_t memory_epoch = 0;
   CoalesceStats coalesce;
-  /// Copy-on-write snapshot publication: pages cloned across all
-  /// epochs (epoch 0's full build counts all pages) and per-epoch
-  /// publish wall time. publish_us is the number the paged index
-  /// keeps O(|V*|): it must track batch size, not n.
-  std::uint64_t snapshot_pages_cloned = 0;
+  /// Copy-on-write snapshot publication: pages cloned per publish, one
+  /// sample per epoch (epoch 0's full build counts all pages; `.sum` is
+  /// the total across epochs), and per-epoch publish wall time.
+  /// publish_us is the number the paged index keeps O(|V*|): it must
+  /// track batch size, not n.
+  obs::Histogram publish_pages_cloned;
   /// Constructor wall time, microseconds: initial decomposition +
   /// epoch-0 publish (+ initial checkpoint when durability is on). One
   /// sample, exported as the histogram `parcore_engine_init_us`.
-  obs::Histogram::Snapshot engine_init_us;
+  obs::Histogram engine_init_us;
   /// Background re-verifier accounting (Options::reverify_interval_ms):
   /// full off-thread recomputes completed, and vertices whose live
   /// CoreView core disagreed with the recompute (must stay 0 — any
@@ -167,7 +168,7 @@ struct EngineStats {
   /// wall time of each recompute, microseconds.
   std::uint64_t verify_runs = 0;
   std::uint64_t verify_mismatches = 0;
-  obs::Histogram::Snapshot verify_us;
+  obs::Histogram verify_us;
   /// Self-healing (docs/ROBUSTNESS.md): full state rebuilds triggered
   /// by re-verifier mismatches, and whether queries are currently
   /// quarantined to the last verified snapshot while a repair is
@@ -242,8 +243,8 @@ class StreamingEngine {
     /// scheduler thread inside the flush window.
     std::function<void(const obs::FlushSpan&)> span_sink;
     /// > 0 spawns a reporter thread alongside the scheduler that writes
-    /// the metrics summary (obs::human_summary of metric_rows() and the
-    /// process registry) to stderr every interval. 0 disables it.
+    /// the metrics summary (obs::human_summary of metric_rows()) to
+    /// stderr every interval. 0 disables it.
     double report_interval_ms = 0.0;
     /// > 0 spawns a background re-verifier alongside the scheduler:
     /// every interval it copies the graph at a flush boundary, runs a
@@ -320,9 +321,10 @@ class StreamingEngine {
   EngineStats stats() const;
 
   /// This engine's metrics for the exporters (obs/export.h): one
-  /// stats() read plus the current flush threshold, under the names
-  /// and kinds of docs/OBSERVABILITY.md. Process-level metrics are not
-  /// included; obs::with_process_rows adds them.
+  /// stats() read, the current flush threshold and this engine's
+  /// graph arena (DynamicGraph::arena_stats), under the names and
+  /// kinds of docs/OBSERVABILITY.md. Every exported row comes from
+  /// here.
   obs::Rows metric_rows() const;
 
   /// Ring of the most recent flush spans (per-phase timings, worker

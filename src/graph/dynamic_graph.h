@@ -145,6 +145,11 @@ class DynamicGraph {
   /// arena counters are O(shards). Quiescent only.
   GraphMemoryStats memory_stats() const;
 
+  /// The arena counters alone: O(shards), read under the shard
+  /// spinlocks, so safe while other threads insert or remove edges
+  /// (the engine's metric export reads it during a flush).
+  SlabStoreStats arena_stats() const { return store_.stats(); }
+
  private:
   struct VertexRec {
     std::uint32_t degree = 0;

@@ -3,25 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "obs/metrics.h"
-
 namespace parcore {
-
-namespace {
-
-// Process-wide arena gauges (docs/OBSERVABILITY.md): reservations are
-// monotonic per store but stores come and go, so the gauges track the
-// deltas of every live SlabStore combined. Registered on first use.
-obs::Gauge& arena_reserved_gauge() {
-  static obs::Gauge* g = &obs::registry().gauge("parcore_arena_reserved_bytes");
-  return *g;
-}
-obs::Gauge& arena_chunks_gauge() {
-  static obs::Gauge* g = &obs::registry().gauge("parcore_arena_chunks");
-  return *g;
-}
-
-}  // namespace
 
 SlabStore::SlabStore() : SlabStore(Options()) {}
 
@@ -38,22 +20,6 @@ SlabStore::SlabStore(Options opts) : opts_(opts) {
   shards_ = std::make_unique<Shard[]>(num_shards_);
 }
 
-SlabStore::~SlabStore() {
-  if (shards_ == nullptr) return;  // moved-from
-  std::int64_t reserved = 0, chunks = 0;
-  for (std::size_t i = 0; i < num_shards_; ++i) {
-    // Uncontended at destruction; the guard keeps the accesses visibly
-    // inside the discipline rather than leaning on the analysis'
-    // constructor/destructor exemption.
-    SpinGuard g(shards_[i].lock);
-    reserved += static_cast<std::int64_t>(shards_[i].reserved_bytes);
-    chunks += static_cast<std::int64_t>(shards_[i].chunk_count +
-                                        shards_[i].jumbo_count);
-  }
-  if (reserved != 0) arena_reserved_gauge().add(-reserved);
-  if (chunks != 0) arena_chunks_gauge().add(-chunks);
-}
-
 std::size_t SlabStore::size_class(std::size_t min_entries) {
   if (min_entries <= kMinSlabEntries) return 0;
   const std::size_t rounded = std::bit_ceil(min_entries);
@@ -64,51 +30,41 @@ std::size_t SlabStore::size_class(std::size_t min_entries) {
 VertexId* SlabStore::allocate(std::size_t cls, std::size_t shard_hint) {
   const std::size_t bytes = class_bytes(cls);
   Shard& s = shards_[shard_hint % num_shards_];
-  std::byte* out = nullptr;
-  std::int64_t grew_bytes = 0;  // gauge deltas, applied after the guard
-  {
-    SpinGuard g(s.lock);
-    if (FreeNode* node = s.free_lists[cls]) {
-      s.free_lists[cls] = node->next;
-      s.freelist_bytes -= bytes;
-      return reinterpret_cast<VertexId*>(node);
-    }
-    if (cls <= max_chunk_class_) {
-      if (s.bump_left < bytes) {
-        // The chunk remainder is abandoned (counted as reserved slack).
-        // Chunks grow geometrically toward the chunk_bytes ceiling;
-        // every slab here is <= chunk_bytes so the fresh chunk always
-        // fits it.
-        std::size_t size =
-            s.next_chunk_bytes != 0
-                ? s.next_chunk_bytes
-                : std::min(opts_.chunk_bytes, kInitialChunkBytes);
-        if (size < bytes) size = bytes;
-        s.next_chunk_bytes = std::min(size * 4, opts_.chunk_bytes);
-        auto chunk = std::make_unique<std::byte[]>(size);
-        s.bump = chunk.get();
-        s.bump_left = size;
-        s.blocks.push_back(std::move(chunk));
-        s.reserved_bytes += size;
-        ++s.chunk_count;
-        grew_bytes = static_cast<std::int64_t>(size);
-      }
-      out = s.bump;
-      s.bump += bytes;
-      s.bump_left -= bytes;
-    } else {
-      auto jumbo = std::make_unique<std::byte[]>(bytes);
-      out = jumbo.get();
-      s.blocks.push_back(std::move(jumbo));
-      s.reserved_bytes += bytes;
-      ++s.jumbo_count;
-      grew_bytes = static_cast<std::int64_t>(bytes);
-    }
+  SpinGuard g(s.lock);
+  if (FreeNode* node = s.free_lists[cls]) {
+    s.free_lists[cls] = node->next;
+    s.freelist_bytes -= bytes;
+    return reinterpret_cast<VertexId*>(node);
   }
-  if (grew_bytes != 0) {
-    arena_reserved_gauge().add(grew_bytes);
-    arena_chunks_gauge().add(1);
+  if (cls <= max_chunk_class_) {
+    if (s.bump_left < bytes) {
+      // The chunk remainder is abandoned (counted as reserved slack).
+      // Chunks grow geometrically toward the chunk_bytes ceiling;
+      // every slab here is <= chunk_bytes so the fresh chunk always
+      // fits it.
+      std::size_t size =
+          s.next_chunk_bytes != 0
+              ? s.next_chunk_bytes
+              : std::min(opts_.chunk_bytes, kInitialChunkBytes);
+      if (size < bytes) size = bytes;
+      s.next_chunk_bytes = std::min(size * 4, opts_.chunk_bytes);
+      auto chunk = std::make_unique<std::byte[]>(size);
+      s.bump = chunk.get();
+      s.bump_left = size;
+      s.blocks.push_back(std::move(chunk));
+      s.reserved_bytes += size;
+      ++s.chunk_count;
+    }
+    std::byte* out = s.bump;
+    s.bump += bytes;
+    s.bump_left -= bytes;
+    return reinterpret_cast<VertexId*>(out);
   }
+  auto jumbo = std::make_unique<std::byte[]>(bytes);
+  std::byte* out = jumbo.get();
+  s.blocks.push_back(std::move(jumbo));
+  s.reserved_bytes += bytes;
+  ++s.jumbo_count;
   return reinterpret_cast<VertexId*>(out);
 }
 

@@ -68,9 +68,6 @@ class SlabStore {
 
   SlabStore();  // default Options
   explicit SlabStore(Options opts);
-  /// Releases every chunk and retracts this store's share of the
-  /// process-wide arena gauges (parcore_arena_* in obs/metrics.h).
-  ~SlabStore();
 
   SlabStore(const SlabStore&) = delete;
   SlabStore& operator=(const SlabStore&) = delete;

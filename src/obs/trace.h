@@ -8,8 +8,8 @@
 //
 // The ring is deliberately simple: one spinlock held for a struct copy,
 // written once per flush (ms-scale cadence) and drained by readers via
-// snapshot(). It is NOT gated on obs::enabled() — capacity bounds the
-// footprint and the copy is nanoseconds next to a flush.
+// snapshot(). It is always on — capacity bounds the footprint and the
+// copy is nanoseconds next to a flush.
 #pragma once
 
 #include <cstdint>

@@ -3,26 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "obs/metrics.h"
-
 namespace parcore::query {
-
-namespace detail {
-
-void record_publish_metrics(std::size_t pages_cloned, bool rebuild) {
-  // Registered once; the statics keep the header templates out of the
-  // registry's mutex on every publish.
-  static obs::Counter* publishes =
-      &obs::registry().counter("parcore_publishes_total");
-  static obs::Counter* rebuilds =
-      &obs::registry().counter("parcore_index_rebuilds_total");
-  static obs::Histogram* pages =
-      &obs::registry().histogram("parcore_publish_pages_cloned");
-  (rebuild ? rebuilds : publishes)->inc();
-  pages->record(pages_cloned);
-}
-
-}  // namespace detail
 
 std::vector<CoreValue> CoreView::materialize() const {
   std::vector<CoreValue> out;

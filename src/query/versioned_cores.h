@@ -28,15 +28,6 @@
 
 namespace parcore::query {
 
-namespace detail {
-
-/// Out-of-line metrics hook (obs handles live in versioned_cores.cpp so
-/// the header templates stay free of the registry include): records one
-/// publish/rebuild — pages cloned histogram + cumulative counters.
-void record_publish_metrics(std::size_t pages_cloned, bool rebuild);
-
-}  // namespace detail
-
 /// Immutable paged view of all core numbers at one epoch boundary.
 /// Copying a view is one refcount bump; the pages themselves are shared
 /// across epochs and never mutated after publication.
@@ -123,7 +114,6 @@ class VersionedCoreIndex {
       table->pages[p] = std::move(page);
     }
     last_pages_cloned_ = table->pages.size();
-    detail::record_publish_metrics(last_pages_cloned_, /*rebuild=*/true);
     current_ = CoreView(std::move(table));
     return current_;
   }
@@ -137,7 +127,6 @@ class VersionedCoreIndex {
   CoreView publish(std::span<const VertexId> dirty, ReadFn&& read) {
     if (dirty.empty()) {  // nothing changed: the epoch shares the view
       last_pages_cloned_ = 0;
-      detail::record_publish_metrics(0, /*rebuild=*/false);
       return current_;
     }
     const CoreView::PageTable& cur = *current_.table_;
@@ -167,7 +156,6 @@ class VersionedCoreIndex {
       (*mutable_pages_[p])[v & next->mask] = read(v);
     }
     last_pages_cloned_ = cloned;
-    detail::record_publish_metrics(cloned, /*rebuild=*/false);
     current_ = CoreView(std::move(next));
     return current_;
   }

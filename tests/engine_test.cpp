@@ -642,7 +642,7 @@ std::int64_t gauge_row(const obs::Rows& rows, const std::string& name) {
   return 0;
 }
 
-const obs::Histogram::Snapshot* histogram_row(const obs::Rows& rows,
+const obs::Histogram* histogram_row(const obs::Rows& rows,
                                               const std::string& name) {
   for (const obs::HistogramRow& r : rows.histograms)
     if (r.name == name) return &r.snap;
@@ -651,10 +651,10 @@ const obs::Histogram::Snapshot* histogram_row(const obs::Rows& rows,
 }
 
 // Two engines in one process: each one's export renders its own
-// stats(), never a process-wide sum, and the submitted count is exact
-// before any flush drains it.
+// stats() and its own graph's arena, never a process-wide sum, and the
+// submitted count is exact before any flush drains it.
 TEST(EngineMetrics, TwoEnginesExportTheirOwnStats) {
-  test::Workload wa = test::make_workload(test::Family::kRmat, 300, 0.4, 41);
+  test::Workload wa = test::hub_workload(300, 80, 41);
   test::Workload wb = test::hub_workload(400, 120, 43);
   auto ga = DynamicGraph::from_edges(wa.n, wa.base);
   auto gb = DynamicGraph::from_edges(wb.n, wb.base);
@@ -680,9 +680,26 @@ TEST(EngineMetrics, TwoEnginesExportTheirOwnStats) {
   EXPECT_EQ(sb.submitted, 2 * wb.batch.size());
   EXPECT_GT(sb.applied_removes, 0u);
 
-  for (const StreamingEngine* eng : {&a, &b}) {
+  for (StreamingEngine* eng : {&a, &b}) {
     const engine::EngineStats s = eng->stats();
     const obs::Rows rows = eng->metric_rows();
+    // One index publish per flush (no repairs here) plus the epoch-0
+    // build, one pages-cloned sample each.
+    EXPECT_EQ(s.repairs, 0u);
+    EXPECT_EQ(counter_row(rows, "parcore_publishes_total"), s.epochs);
+    EXPECT_EQ(counter_row(rows, "parcore_index_rebuilds_total"), 1u);
+    if (const obs::Histogram* h =
+            histogram_row(rows, "parcore_publish_pages_cloned")) {
+      EXPECT_EQ(h->count, s.epochs + 1);
+      EXPECT_EQ(h->sum,
+                counter_row(rows, "parcore_snapshot_pages_cloned_total"));
+    }
+    const GraphMemoryStats mem = eng->graph().memory_stats();
+    EXPECT_GT(mem.arena_reserved_bytes, 0u);
+    EXPECT_EQ(gauge_row(rows, "parcore_arena_reserved_bytes"),
+              static_cast<std::int64_t>(mem.arena_reserved_bytes));
+    EXPECT_EQ(gauge_row(rows, "parcore_arena_chunks"),
+              static_cast<std::int64_t>(mem.chunk_count));
     EXPECT_EQ(counter_row(rows, "parcore_flushes_total"), s.epochs);
     EXPECT_EQ(gauge_row(rows, "parcore_epoch"),
               static_cast<std::int64_t>(s.epochs));
@@ -700,13 +717,61 @@ TEST(EngineMetrics, TwoEnginesExportTheirOwnStats) {
     for (const obs::FlushSpan& span : eng->trace().snapshot())
       deferred += span.deferred_edges;
     EXPECT_EQ(s.deferred_edges, deferred);
-    if (const obs::Histogram::Snapshot* h =
+    if (const obs::Histogram* h =
             histogram_row(rows, "parcore_flush_us"))
       EXPECT_EQ(h->count, s.epochs);
-    if (const obs::Histogram::Snapshot* h =
+    if (const obs::Histogram* h =
             histogram_row(rows, "parcore_engine_init_us"))
       EXPECT_EQ(h->count, 1u);
   }
+}
+
+// Scrapes race running flushes: the arena gauges are read live from
+// the graph (under its shard spinlocks) while a hub's adjacency grows
+// slab by slab, so this runs clean under TSan and never sees a gauge
+// or counter go backwards.
+TEST(EngineMetrics, ExportDuringFlushesIsRaceFree) {
+  test::Workload w = test::hub_workload(2000, 1500, 47);
+  auto g = DynamicGraph::from_edges(w.n, w.base);
+  ThreadTeam team(2);
+  StreamingEngine::Options opts;
+  opts.workers = 2;
+  opts.flush_threshold = 64;
+  opts.flush_interval_ms = 1.0;
+  StreamingEngine eng(g, team, opts);
+  eng.start();
+
+  std::atomic<bool> done{false};
+  std::size_t scrapes = 0;
+  std::thread scraper([&] {
+    std::int64_t last_bytes = 0;
+    std::uint64_t last_publishes = 0;
+    do {
+      const obs::Rows rows = eng.metric_rows();
+      const std::int64_t bytes =
+          gauge_row(rows, "parcore_arena_reserved_bytes");
+      const std::uint64_t publishes =
+          counter_row(rows, "parcore_publishes_total");
+      EXPECT_GE(bytes, last_bytes);
+      EXPECT_GE(publishes, last_publishes);
+      last_bytes = bytes;
+      last_publishes = publishes;
+      ++scrapes;
+    } while (!done.load(std::memory_order_acquire));
+  });
+  for (const Edge& e : w.batch) eng.submit_insert(e.u, e.v);
+  eng.stop();
+  done.store(true, std::memory_order_release);
+  scraper.join();
+
+  EXPECT_GT(scrapes, 0u);
+  const obs::Rows rows = eng.metric_rows();
+  const GraphMemoryStats mem = g.memory_stats();
+  EXPECT_EQ(gauge_row(rows, "parcore_arena_reserved_bytes"),
+            static_cast<std::int64_t>(mem.arena_reserved_bytes));
+  EXPECT_EQ(counter_row(rows, "parcore_publishes_total"), eng.stats().epochs);
+  test::expect_cores_match(g, eng.snapshot()->materialize(),
+                           "after scraped flushes");
 }
 
 }  // namespace

@@ -470,8 +470,7 @@ TEST(Cli, EverySubcommandRejectsUnknownOptionsWithExit2) {
   // the newer ones: an unknown option is a usage error (2), never a
   // silent ignore or a runtime failure (1).
   for (const char* cmd :
-       {"decompose", "convert", "maintain", "serve", "recover", "bench",
-        "stats"}) {
+       {"decompose", "convert", "maintain", "serve", "recover", "stats"}) {
     EXPECT_EQ(cli::cli_main({cmd, "--definitely-not-an-option", "x"}), 2)
         << cmd;
     EXPECT_EQ(cli::cli_main({cmd, "--help"}), 0) << cmd;
@@ -482,8 +481,7 @@ TEST(Cli, EverySubcommandRejectsUnknownOptionsWithExit2) {
   for (const std::vector<std::string>& argv :
        std::vector<std::vector<std::string>>{
            {"maintain", "--input", toy, "--plan"},
-           {"serve", "--input", fixture("toy_temporal.txt"), "--plan"},
-           {"bench", "--input", toy, "--ops", "64", "--plan"}}) {
+           {"serve", "--input", fixture("toy_temporal.txt"), "--plan"}}) {
     EXPECT_EQ(cli::cli_main(argv), 2) << argv[0];
   }
   // The parallel exact peel and BZ are the only decompositions: the
@@ -500,6 +498,9 @@ TEST(Cli, EverySubcommandRejectsUnknownOptionsWithExit2) {
   EXPECT_EQ(cli::cli_main({"decompose", "--input", toy, "--algo", "parallel",
                            "--workers", "4"}),
             0);
+  // The engine-throughput sweep over a dataset is bench_engine_throughput
+  // with PARCORE_BENCH_INPUT; the CLI has no `bench` command.
+  EXPECT_EQ(cli::cli_main({"bench", "--input", toy}), 2);
 }
 
 TEST(Cli, HelpIsStrictAboutItsArguments) {
@@ -507,8 +508,7 @@ TEST(Cli, HelpIsStrictAboutItsArguments) {
   // cannot resolve is a usage error — the pre-durability CLI ignored
   // extra help arguments and returned 0.
   for (const char* cmd :
-       {"decompose", "convert", "maintain", "serve", "recover", "bench",
-        "stats"}) {
+       {"decompose", "convert", "maintain", "serve", "recover", "stats"}) {
     EXPECT_EQ(cli::cli_main({"help", cmd}), 0) << cmd;
   }
   EXPECT_EQ(cli::cli_main({"help", "no-such-command"}), 2);

@@ -5,7 +5,6 @@
 
 #include "baseline/je.h"
 #include "gen/generators.h"
-#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace parcore {
@@ -129,30 +128,24 @@ TEST(JeMaintainer, UniformCoreGraphStillCorrect) {
 TEST(JeMaintainer, SequentialFallbackIsCounted) {
   // max_rounds = 0 exhausts the round budget immediately, so every
   // batch takes the defensive sequential path — and each such batch
-  // must bump parcore_je_sequential_fallbacks (the observability hook
-  // that makes a silently-degraded baseline visible in benchmarks).
-  const bool was_enabled = obs::enabled();
-  obs::set_enabled(true);
-  obs::Counter& fallbacks =
-      obs::registry().counter("parcore_je_sequential_fallbacks");
-  const std::uint64_t before = fallbacks.value();
-
+  // must bump sequential_fallbacks() (what makes a silently-degraded
+  // baseline visible in benchmarks).
   test::Workload w = test::make_workload(Family::kEr, 200, 0.2, 7);
   auto base = DynamicGraph::from_edges(w.n, w.base);
   ThreadTeam team(4);
   JeMaintainer::Options opts;
   opts.max_rounds = 0;
   JeMaintainer m(base, team, opts);
+  EXPECT_EQ(m.sequential_fallbacks(), 0u);
   m.insert_batch(w.batch, 4);
-  EXPECT_GE(fallbacks.value(), before + 1);
-  const std::uint64_t after_insert = fallbacks.value();
+  EXPECT_GE(m.sequential_fallbacks(), 1u);
+  const std::uint64_t after_insert = m.sequential_fallbacks();
   m.remove_batch(w.batch, 4);
-  EXPECT_GE(fallbacks.value(), after_insert + 1);
+  EXPECT_GE(m.sequential_fallbacks(), after_insert + 1);
 
   // Correctness is not sacrificed on the fallback path.
   DynamicGraph expect = DynamicGraph::from_edges(w.n, w.base);
   test::expect_cores_match(expect, m.cores(), "fallback path");
-  obs::set_enabled(was_enabled);
 }
 
 TEST(JeMaintainer, InsertThenRemoveRestoresCores) {

@@ -1,6 +1,6 @@
-// Observability substrate tests (ISSUE 6): registry correctness under
-// concurrent hammering (run under TSan in CI), flush-trace ring
-// wraparound, exporter golden output, and the loopback HTTP pair.
+// Observability substrate tests: histogram buckets, flush-trace ring
+// wraparound (concurrent writer/reader under TSan in CI), exporter
+// golden output over hand-built rows, and the loopback HTTP pair.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,48 +16,7 @@
 namespace parcore::obs {
 namespace {
 
-// Recording tests need the runtime gate open; the gate is restored
-// per-test so suite order never matters.
-class ObsRecordingTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    was_enabled_ = enabled();
-    set_enabled(true);
-  }
-  void TearDown() override { set_enabled(was_enabled_); }
-
- private:
-  bool was_enabled_ = true;
-};
-
-using ObsRegistryTest = ObsRecordingTest;
-using ObsExportTest = ObsRecordingTest;
-
-TEST_F(ObsRecordingTest, CounterExactUnderThreads) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("hammer_total");
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kPer = 200000;
-  std::vector<std::thread> pool;
-  pool.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t)
-    pool.emplace_back([&c] {
-      for (std::uint64_t i = 0; i < kPer; ++i) c.inc();
-    });
-  for (auto& th : pool) th.join();
-  // Sharded cells may split the count arbitrarily; the sum is exact.
-  EXPECT_EQ(c.value(), kThreads * kPer);
-}
-
-TEST_F(ObsRecordingTest, GaugeSetAddAndNegative) {
-  MetricsRegistry reg;
-  Gauge& g = reg.gauge("level");
-  g.set(100);
-  g.add(-150);
-  EXPECT_EQ(g.value(), -50);
-}
-
-TEST_F(ObsRecordingTest, HistogramBucketsAndQuantiles) {
+TEST(ObsHistogramTest, HistogramBucketsAndQuantiles) {
   EXPECT_EQ(Histogram::bucket_of(0), 0u);
   EXPECT_EQ(Histogram::bucket_of(1), 1u);
   EXPECT_EQ(Histogram::bucket_of(2), 2u);
@@ -66,105 +25,15 @@ TEST_F(ObsRecordingTest, HistogramBucketsAndQuantiles) {
   EXPECT_EQ(Histogram::bucket_upper(1), 1u);
   EXPECT_EQ(Histogram::bucket_upper(3), 7u);
 
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("values");
+  Histogram h;
   for (int i = 0; i < 90; ++i) h.record(1);
   for (int i = 0; i < 10; ++i) h.record(1000);
-  const Histogram::Snapshot snap = h.snapshot();
-  EXPECT_EQ(snap.count, 100u);
-  EXPECT_EQ(snap.sum, 90u + 10u * 1000u);
-  EXPECT_NEAR(snap.mean(), 100.9, 1e-9);
-  EXPECT_EQ(snap.quantile_upper(0.5), 1u);
+  EXPECT_EQ(h.count, 100u);
+  EXPECT_EQ(h.sum, 90u + 10u * 1000u);
+  EXPECT_NEAR(h.mean(), 100.9, 1e-9);
+  EXPECT_EQ(h.quantile_upper(0.5), 1u);
   // 1000 has bit_width 10 -> bucket 10, upper bound 2^10 - 1.
-  EXPECT_EQ(snap.quantile_upper(0.99), 1023u);
-}
-
-TEST_F(ObsRecordingTest, HistogramExactUnderThreads) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("concurrent");
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kPer = 50000;
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads; ++t)
-    pool.emplace_back([&h, t] {
-      for (std::uint64_t i = 0; i < kPer; ++i)
-        h.record(static_cast<std::uint64_t>(t));
-    });
-  for (auto& th : pool) th.join();
-  const Histogram::Snapshot snap = h.snapshot();
-  EXPECT_EQ(snap.count, kThreads * kPer);
-  EXPECT_EQ(snap.sum, kPer * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7));
-}
-
-TEST_F(ObsRecordingTest, RuntimeGateDropsRecords) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("gated");
-  Histogram& h = reg.histogram("gated_h");
-  set_enabled(false);
-  c.add(7);
-  h.record(7);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.snapshot().count, 0u);
-  set_enabled(true);
-  c.add(7);
-  EXPECT_EQ(c.value(), 7u);
-}
-
-TEST_F(ObsRegistryTest, SameNameSameHandle) {
-  MetricsRegistry reg;
-  Counter& a = reg.counter("x_total");
-  Counter& b = reg.counter("x_total");
-  EXPECT_EQ(&a, &b);
-  // Kinds are separate namespaces: a gauge named like a counter is a
-  // distinct metric.
-  Gauge& g = reg.gauge("x_total");
-  g.set(3);
-  a.inc();
-  EXPECT_EQ(a.value(), 1u);
-  EXPECT_EQ(g.value(), 3);
-}
-
-TEST_F(ObsRegistryTest, CollectPreservesRegistrationOrder) {
-  MetricsRegistry reg;
-  reg.counter("b_total").add(2);
-  reg.counter("a_total").add(1);
-  reg.gauge("z").set(-5);
-  reg.histogram("lat").record(3);
-
-  const Rows rows = reg.collect();
-  ASSERT_EQ(rows.counters.size(), 2u);
-  EXPECT_EQ(rows.counters[0].name, "b_total");  // registration, not sort
-  EXPECT_EQ(rows.counters[0].value, 2u);
-  EXPECT_EQ(rows.counters[1].name, "a_total");
-  ASSERT_EQ(rows.gauges.size(), 1u);
-  EXPECT_EQ(rows.gauges[0].value, -5);
-  ASSERT_EQ(rows.histograms.size(), 1u);
-  EXPECT_EQ(rows.histograms[0].snap.count, 1u);
-}
-
-// Registration races recording and collection: 8 threads repeatedly
-// look up overlapping names, bump them, and interleave collect() calls.
-// The assertion is the final exact total; the point is a clean TSan run.
-TEST_F(ObsRegistryTest, ConcurrentRegisterRecordCollect) {
-  MetricsRegistry reg;
-  constexpr int kThreads = 8;
-  constexpr int kIters = 2000;
-  std::atomic<std::uint64_t> expected{0};
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads; ++t)
-    pool.emplace_back([&reg, &expected, t] {
-      const std::string name = "shared_" + std::to_string(t % 3) + "_total";
-      for (int i = 0; i < kIters; ++i) {
-        reg.counter(name).inc();
-        expected.fetch_add(1, std::memory_order_relaxed);
-        if (i % 256 == 0) EXPECT_LE(reg.collect().counters.size(), 3u);
-      }
-    });
-  for (auto& th : pool) th.join();
-  std::uint64_t total = 0;
-  for (int k = 0; k < 3; ++k)
-    total += reg.counter("shared_" + std::to_string(k) + "_total").value();
-  EXPECT_EQ(total, expected.load());
+  EXPECT_EQ(h.quantile_upper(0.99), 1023u);
 }
 
 TEST(FlushTraceTest, RingWrapsOldestFirst) {
@@ -235,16 +104,17 @@ TEST(FlushTraceTest, ConcurrentRecordAndSnapshot) {
   EXPECT_EQ(trace.recorded(), 20000u);
 }
 
-TEST_F(ObsExportTest, PrometheusTextGolden) {
-  MetricsRegistry reg;
-  reg.counter("parcore_test_flushes_total").add(3);
-  reg.gauge("parcore_test_epoch").set(-2);
-  Histogram& h = reg.histogram("parcore_test_batch");
+TEST(ObsExportTest, PrometheusTextGolden) {
+  Rows rows;
+  rows.counters.push_back({"parcore_test_flushes_total", 3});
+  rows.gauges.push_back({"parcore_test_epoch", -2});
+  Histogram h;
   h.record(1);
   h.record(1);
   h.record(5);
+  rows.histograms.push_back({"parcore_test_batch", h});
 
-  const std::string text = prometheus_text(reg.collect());
+  const std::string text = prometheus_text(rows);
   EXPECT_EQ(text,
             "# TYPE parcore_test_flushes_total counter\n"
             "parcore_test_flushes_total 3\n"
@@ -258,14 +128,15 @@ TEST_F(ObsExportTest, PrometheusTextGolden) {
             "parcore_test_batch_count 3\n");
 }
 
-TEST_F(ObsExportTest, HumanSummaryGolden) {
-  MetricsRegistry reg;
-  reg.counter("updates_total").add(10);
-  reg.gauge("epoch").set(4);
-  Histogram& h = reg.histogram("flush_us");
+TEST(ObsExportTest, HumanSummaryGolden) {
+  Rows rows;
+  rows.counters.push_back({"updates_total", 10});
+  rows.gauges.push_back({"epoch", 4});
+  Histogram h;
   for (int i = 0; i < 4; ++i) h.record(100);
+  rows.histograms.push_back({"flush_us", h});
 
-  EXPECT_EQ(human_summary(reg.collect()),
+  EXPECT_EQ(human_summary(rows),
             "metrics:\n"
             "  updates_total = 10\n"
             "  epoch = 4\n"
@@ -273,10 +144,9 @@ TEST_F(ObsExportTest, HumanSummaryGolden) {
             "  flush_us = 4 / 100.0 / <=127 / <=127\n");
 }
 
-TEST(ObsExportPlain, EmptyRegistryRendersEmpty) {
-  MetricsRegistry reg;
-  EXPECT_EQ(prometheus_text(reg.collect()), "");
-  EXPECT_EQ(human_summary(reg.collect()), "");
+TEST(ObsExportPlain, EmptyRowsRenderEmpty) {
+  EXPECT_EQ(prometheus_text(Rows{}), "");
+  EXPECT_EQ(human_summary(Rows{}), "");
 }
 
 // An engine's SizeHistogram folded for export (snapshot_of): buckets
@@ -301,20 +171,6 @@ TEST(ObsExportPlain, SizeHistogramPrometheusGolden) {
   EXPECT_EQ(human_summary(rows),
             "histograms (count / mean / ~p50 / ~p99):\n"
             "  parcore_test_flush_us = 7 / 153.0 / <=3 / <=+Inf\n");
-}
-
-TEST_F(ObsExportTest, ProcessRowsFollowTheGivenRows) {
-  registry().counter("parcore_test_process_total").add(2);
-  Rows engine_rows;
-  engine_rows.counters.push_back({"parcore_test_engine_total", 1});
-  const Rows rows = with_process_rows(engine_rows);
-  ASSERT_GE(rows.counters.size(), 2u);
-  EXPECT_EQ(rows.counters[0].name, "parcore_test_engine_total");
-  std::uint64_t process = 0;
-  for (std::size_t i = 1; i < rows.counters.size(); ++i)
-    if (rows.counters[i].name == "parcore_test_process_total")
-      process = rows.counters[i].value;
-  EXPECT_EQ(process, 2u);
 }
 
 TEST(ObsExportPlain, TraceJsonLineGolden) {
@@ -401,12 +257,6 @@ TEST(ObsHttpTest, ConcurrentFetches) {
   EXPECT_EQ(good.load(), kClients * 8);
   EXPECT_EQ(calls.load(), kClients * 8);
   server.stop();
-}
-
-TEST(ObsGlobalTest, ProcessRegistryIsSingleton) {
-  MetricsRegistry& a = registry();
-  MetricsRegistry& b = registry();
-  EXPECT_EQ(&a, &b);
 }
 
 }  // namespace

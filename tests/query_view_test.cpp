@@ -133,12 +133,12 @@ TEST(QueryView, PublicationCostTracksBatchNotN) {
   StreamingEngine::Options opts;  // default 4096-core pages
   StreamingEngine eng(g, team, opts);
 
-  const std::uint64_t full_build = eng.stats().snapshot_pages_cloned;
+  const std::uint64_t full_build = eng.stats().publish_pages_cloned.sum;
   EXPECT_EQ(full_build, (n + 4095) / 4096);  // epoch 0 builds every page
 
   eng.submit_insert(0, 2);  // triangle 0-1-2: cores {0,1,2} -> 2
   eng.flush_now();
-  const std::uint64_t after = eng.stats().snapshot_pages_cloned;
+  const std::uint64_t after = eng.stats().publish_pages_cloned.sum;
   EXPECT_EQ(after - full_build, 1u);  // all three promotions on page 0
   EXPECT_EQ(eng.snapshot()->view.core(1), 2);
   EXPECT_EQ(eng.snapshot()->view.core(50000), 1);
@@ -146,7 +146,7 @@ TEST(QueryView, PublicationCostTracksBatchNotN) {
   // A flush that changes nothing (duplicate insert) clones nothing.
   eng.submit_insert(0, 2);
   eng.flush_now();
-  EXPECT_EQ(eng.stats().snapshot_pages_cloned, after);
+  EXPECT_EQ(eng.stats().publish_pages_cloned.sum, after);
 }
 
 TEST(QueryView, HeldEpochsStayImmutableAndSharePages) {

@@ -32,7 +32,6 @@
 #include "maint/seq_order.h"
 #include "maint/traversal.h"
 #include "obs/export.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/env.h"
 #include "support/timer.h"
@@ -68,10 +67,9 @@ constexpr const char* kGlobalUsage = R"(parcore_cli - core maintenance over real
 usage: parcore_cli <command> [options]
 
 commands:
-  decompose   static core decomposition of a dataset (BZ or ParK)
+  decompose   static core decomposition of a dataset (BZ or parallel peel)
   maintain    sliding-window batch maintenance (parallel/seq/traversal/je)
   serve       drive the streaming engine from a temporal update file
-  bench       engine-throughput benchmark on a dataset (emits BENCH_*.json)
   recover     rebuild state from a serve run's checkpoint + WAL directory
   stats       degree distribution + adjacency memory footprint of a dataset
   convert     transcode a dataset (e.g. edge list -> .pcg binary cache)
@@ -82,8 +80,7 @@ MatrixMarket .mtx, and the .pcg binary cache; .gz variants of the text
 formats when built with zlib (-DPARCORE_WITH_ZLIB=ON).
 
 Environment knobs (full table: docs/CONFIG.md): PARCORE_ENGINE_* for
-the streaming engine's flush policy, PARCORE_WAL_* for durability,
-PARCORE_BENCH_* for benchmark scale and output.
+the streaming engine's flush policy, PARCORE_WAL_* for durability.
 )";
 
 // ------------------------------------------------------------ arg parsing
@@ -184,10 +181,10 @@ void print_load_summary(const std::string& path, const io::GraphData& data,
 
 /// The one operator-facing metrics renderer (docs/OBSERVABILITY.md):
 /// serve's closing report, serve's /summary HTTP endpoint and
-/// `stats --live` all print the engine's rows, then the process rows,
-/// through this exporter, so the three surfaces can never drift apart.
+/// `stats --live` all print the engine's rows through this exporter, so
+/// the three surfaces can never drift apart.
 std::string metrics_summary(const engine::StreamingEngine& eng) {
-  return obs::human_summary(obs::with_process_rows(eng.metric_rows()));
+  return obs::human_summary(eng.metric_rows());
 }
 
 bool cores_match(const std::vector<CoreValue>& got,
@@ -642,8 +639,6 @@ verification is skipped because the op stream was cut short).
 Engine flush policy comes from PARCORE_ENGINE_* (docs/CONFIG.md);
 PARCORE_WAL_* sets the same durability knobs environment-wide;
 PARCORE_ENGINE_SNAPSHOT_PAGE sizes the copy-on-write snapshot pages;
-PARCORE_OBS gates recording of the process-level metrics (slab arena,
-snapshot index; the engine always keeps its own counts),
 PARCORE_OBS_REPORT_MS enables the periodic stderr reporter.
 )";
 
@@ -737,10 +732,7 @@ int cmd_serve(const Args& args) {
   if (args.has("metrics-port")) {
     if (!http.start(
             static_cast<int>(metrics_port),
-            [&eng] {
-              return obs::prometheus_text(
-                  obs::with_process_rows(eng.metric_rows()));
-            },
+            [&eng] { return obs::prometheus_text(eng.metric_rows()); },
             [&eng] { return metrics_summary(eng); })) {
       std::fprintf(stderr, "parcore_cli: cannot bind metrics port %ld\n",
                    metrics_port);
@@ -842,7 +834,7 @@ int cmd_serve(const Args& args) {
       "(page %zu cores)\n",
       static_cast<double>(stats.publish_us.percentile(0.5)),
       static_cast<double>(stats.publish_us.percentile(0.99)),
-      static_cast<unsigned long long>(stats.snapshot_pages_cloned),
+      static_cast<unsigned long long>(stats.publish_pages_cloned.sum),
       snap->view.page_size());
   if (readers > 0)
     std::printf(
@@ -1043,97 +1035,6 @@ int cmd_recover(const Args& args) {
   return 0;
 }
 
-// ------------------------------------------------------------------ bench
-
-constexpr const char* kBenchUsage =
-    R"(usage: parcore_cli bench --input FILE [options]
-
-Engine-throughput benchmark over a file-loaded graph, emitting the same
-BENCH_*.json schema as bench_engine_throughput (rows of policy x
-producers x workers cells).
-
-  --input FILE   dataset (edge list / .mtx / .pcg)
-  --name NAME    output BENCH_<NAME>.json (default "engine_file")
-  --ops N        total updates to stream (default 200000; FAST 20000)
-
-Honours PARCORE_BENCH_FAST / _MAX_WORKERS / _JSON_DIR (docs/CONFIG.md).
-)";
-
-int cmd_bench(const Args& args) {
-  const std::string input = args.get("input");
-  if (input.empty()) return usage_error(kBenchUsage, "--input is required");
-  const bench::BenchEnv env = bench::bench_env();
-  const std::string name = args.get("name", "engine_file");
-  const std::size_t ops_total = static_cast<std::size_t>(
-      args.get_positive("ops", env.fast ? 20000 : 200000));
-
-  WallTimer load_timer;
-  io::GraphData data = io::read_graph(input);
-  print_load_summary(input, data, load_timer.elapsed_ms());
-  std::vector<Edge> all = io::static_edges(data);
-  if (all.size() < 4) {
-    std::fprintf(stderr, "parcore_cli: %s is too small to bench\n",
-                 input.c_str());
-    return 1;
-  }
-  const std::vector<Edge> base(
-      all.begin(), all.begin() + static_cast<std::ptrdiff_t>(all.size() / 2));
-
-  struct Policy {
-    const char* name;
-    std::size_t threshold;
-    bool adaptive;
-  };
-  const std::vector<Policy> policies{{"fixed-2k", 2048, false},
-                                     {"adaptive", 4096, true}};
-  const std::vector<int> producer_counts{1, 4};
-  const std::vector<int> worker_counts =
-      bench::worker_sweep(std::min(env.max_workers, 8));
-
-  ThreadTeam team(env.max_workers);
-  bench::Json rows = bench::Json::array();
-  Table table({"policy", "producers", "workers", "kups", "epochs",
-               "p50 flush ms", "p99 flush ms"});
-
-  for (const Policy& policy : policies) {
-    for (int producers : producer_counts) {
-      const std::vector<std::vector<GraphUpdate>> streams =
-          bench::producer_update_streams(all, producers, ops_total);
-      for (int workers : worker_counts) {
-        engine::StreamingEngine::Options opts;
-        opts.workers = workers;
-        opts.flush_threshold = policy.threshold;
-        opts.adaptive = policy.adaptive;
-        opts.flush_interval_ms = 2.0;
-        const bench::EngineCellResult r = bench::run_engine_cell(
-            data.num_vertices, base, streams, team, opts);
-        table.add_row(
-            {policy.name, std::to_string(producers), std::to_string(workers),
-             fmt(r.updates_per_sec / 1000.0, 1),
-             std::to_string(r.stats.epochs),
-             fmt(static_cast<double>(r.stats.flush_us.percentile(0.5)) / 1000.0,
-                 2),
-             fmt(static_cast<double>(r.stats.flush_us.percentile(0.99)) /
-                     1000.0,
-                 2)});
-        rows.push(bench::engine_cell_json(policy.name, producers, workers, r));
-      }
-    }
-  }
-  table.print();
-
-  bench::Json payload = bench::Json::object()
-                            .set("bench", "engine_throughput")
-                            .set("graph", input)
-                            .set("n", std::uint64_t{data.num_vertices})
-                            .set("base_edges", std::uint64_t{base.size()})
-                            .set("ops_total", std::uint64_t{ops_total})
-                            .set("scale", 1.0)
-                            .set("rows", rows);
-  if (bench::write_bench_json(name, payload).empty()) return 1;
-  return 0;
-}
-
 }  // namespace
 
 int cli_main(int argc, const char* const* argv) {
@@ -1165,7 +1066,6 @@ int cli_main(const std::vector<std::string>& args) {
        {"no-verify"}, cmd_serve},
       {"recover", kRecoverUsage, {"dir", "workers", "verify"}, {"no-verify"},
        cmd_recover},
-      {"bench", kBenchUsage, {"input", "name", "ops"}, {}, cmd_bench},
       {"stats", kStatsUsage, {"input", "live"}, {}, cmd_stats},
   };
 
