@@ -120,7 +120,7 @@ int main() {
           run_mode_cell(mode, num_vertices, base, streams, team, opts);
       const auto& d = r.stats.durability;
       const double p99_ms =
-          static_cast<double>(r.stats.flush_us.percentile(0.99)) / 1000.0;
+          static_cast<double>(r.stats.flush_us.quantile_upper(0.99)) / 1000.0;
       table.add_row({mode.name, std::to_string(workers),
                      fmt(r.updates_per_sec / 1000.0, 1),
                      std::to_string(r.stats.epochs), fmt(p99_ms, 2),

@@ -96,9 +96,9 @@ int main() {
         EngineCellResult r =
             run_engine_cell(num_vertices, base, streams, team, opts);
         const double p50_ms =
-            static_cast<double>(r.stats.flush_us.percentile(0.5)) / 1000.0;
+            static_cast<double>(r.stats.flush_us.quantile_upper(0.5)) / 1000.0;
         const double p99_ms =
-            static_cast<double>(r.stats.flush_us.percentile(0.99)) / 1000.0;
+            static_cast<double>(r.stats.flush_us.quantile_upper(0.99)) / 1000.0;
         const std::uint64_t coalesced =
             2 * r.stats.coalesce.annihilated_pairs +
             r.stats.coalesce.duplicates + r.stats.coalesce.noops;

@@ -98,7 +98,7 @@ int main() {
                                          opts);
     const auto& adm = r.stats.admission;
     const double p99_ms =
-        static_cast<double>(r.stats.flush_us.percentile(0.99)) / 1000.0;
+        static_cast<double>(r.stats.flush_us.quantile_upper(0.99)) / 1000.0;
     table.add_row({name, std::to_string(cap),
                    fmt(r.updates_per_sec / 1000.0, 1),
                    std::to_string(r.stats.epochs), fmt(p99_ms, 2),

@@ -320,9 +320,9 @@ std::string write_bench_json(const std::string& name, const Json& payload) {
 Json engine_cell_json(const std::string& policy, int producers, int workers,
                       const EngineCellResult& r) {
   const double p50_ms =
-      static_cast<double>(r.stats.flush_us.percentile(0.5)) / 1000.0;
+      static_cast<double>(r.stats.flush_us.quantile_upper(0.5)) / 1000.0;
   const double p99_ms =
-      static_cast<double>(r.stats.flush_us.percentile(0.99)) / 1000.0;
+      static_cast<double>(r.stats.flush_us.quantile_upper(0.99)) / 1000.0;
   return Json::object()
       .set("policy", policy)
       .set("producers", producers)

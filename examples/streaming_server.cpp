@@ -118,8 +118,8 @@ int main() {
               static_cast<unsigned long long>(st.coalesce.duplicates),
               static_cast<unsigned long long>(st.coalesce.noops));
   std::printf("flush latency       p50 %.2f ms, p99 %.2f ms\n",
-              static_cast<double>(st.flush_us.percentile(0.5)) / 1000.0,
-              static_cast<double>(st.flush_us.percentile(0.99)) / 1000.0);
+              static_cast<double>(st.flush_us.quantile_upper(0.5)) / 1000.0,
+              static_cast<double>(st.flush_us.quantile_upper(0.99)) / 1000.0);
   std::printf("final flush size    threshold %zu (adaptive)\n",
               eng.current_flush_threshold());
   std::printf("final graph         %zu edges, max core %d\n",

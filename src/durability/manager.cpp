@@ -12,8 +12,7 @@
 #include <filesystem>
 #include <system_error>
 
-#include "durability/crash.h"
-#include "durability/faults.h"
+#include "durability/inject.h"
 #include "io/io_error.h"
 
 namespace parcore::durability {
@@ -109,12 +108,12 @@ void Manager::checkpoint(const io::PcgCheckpoint& ck) {
   bool renamed = false;
   try {
     // 1. Full image to a temp name; never visible to recovery scans.
-    if (const int err = fail_point("checkpoint-write"))
+    if (const int err = inject("checkpoint-write"))
       throw IoError(tmp_path, 0,
                     std::string("write checkpoint failed: ") +
                         std::strerror(err) + " (injected)");
     io::save_pcg_checkpoint(tmp_path, ck, opts_.fsync);
-    if (crash_point_armed("checkpoint-mid-write")) {
+    if (armed("checkpoint-mid-write")) {
       // Stage the artifact of dying mid-write: a half-length tmp file.
       std::error_code ec;
       const std::uintmax_t size = fs::file_size(tmp_path, ec);
@@ -125,7 +124,7 @@ void Manager::checkpoint(const io::PcgCheckpoint& ck) {
         }
       }
     }
-    crash_point("checkpoint-mid-write");
+    inject("checkpoint-mid-write");
 
     // 2. The new generation's WAL, durable BEFORE the commit point so a
     // visible checkpoint always has its (possibly empty) WAL beside it.
@@ -133,10 +132,10 @@ void Manager::checkpoint(const io::PcgCheckpoint& ck) {
                              opts_.fsync);
     totals_.wal_bytes += next.bytes_appended();
     totals_.wal_fsyncs += next.fsyncs();
-    crash_point("checkpoint-pre-rename");
+    inject("checkpoint-pre-rename");
 
     // 3. Commit point.
-    if (const int err = fail_point("checkpoint-rename"))
+    if (const int err = inject("checkpoint-rename"))
       throw IoError(final_path, 0,
                     std::string("checkpoint rename failed: ") +
                         std::strerror(err) + " (injected)");
@@ -146,7 +145,7 @@ void Manager::checkpoint(const io::PcgCheckpoint& ck) {
                         std::strerror(errno));
     renamed = true;
     if (opts_.fsync) fsync_dir(opts_.dir);
-    crash_point("checkpoint-post-rename");
+    inject("checkpoint-post-rename");
   } catch (...) {
     if (!renamed) {
       // Nothing committed: remove this generation's partial artifacts

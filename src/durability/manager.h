@@ -19,7 +19,7 @@
 // generation intact (the orphan wal-<e>.log has no matching checkpoint
 // and is ignored by recovery); a crash after it recovers from the new
 // checkpoint with an empty WAL. Bracketed names are the crash-injection
-// points (durability/crash.h).
+// points (durability/inject.h).
 #pragma once
 
 #include <cstdint>

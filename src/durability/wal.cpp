@@ -9,8 +9,7 @@
 #include <limits>
 #include <utility>
 
-#include "durability/crash.h"
-#include "durability/faults.h"
+#include "durability/inject.h"
 #include "io/checksum.h"
 #include "io/io_error.h"
 
@@ -134,7 +133,7 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
 
 WalWriter WalWriter::create(const std::string& path, std::uint64_t base_epoch,
                             bool sync) {
-  if (const int err = fail_point("wal-create"))
+  if (const int err = inject("wal-create"))
     throw injected(path, "create WAL", err);
   WalWriter w;
   w.fd_ = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
@@ -164,33 +163,33 @@ void WalWriter::append(const WalRecord& rec) {
   // back to. (The header is counted into bytes_ at create.)
   const std::uint64_t committed = bytes_;
   try {
-    if (crash_point_armed("wal-mid-append")) {
+    if (armed("wal-mid-append")) {
       // Stage the torn-tail artifact a real crash would leave: only the
       // first half of the frame reaches the file before the process
-      // dies in the crash_point below.
+      // dies in the inject() below.
       write_all(fd_, path_, buf_.data(), buf_.size() / 2);
     }
-    crash_point("wal-mid-append");
-    if (const int err = fail_point("wal-append"))
+    inject("wal-mid-append");
+    if (const int err = inject("wal-append"))
       throw injected(path_, "write WAL frame", err);
-    if (fail_point_armed("wal-append-short")) {
+    if (armed("wal-append-short")) {
       // Unlike wal-append this leaves a REAL interior torn frame, which
       // the catch below must truncate away for the file to stay
       // replayable after a retried append.
       write_all(fd_, path_, buf_.data(), buf_.size() / 2);
-      const int err = fail_point("wal-append-short");
+      const int err = inject("wal-append-short");
       throw injected(path_, "write WAL frame (short)",
                      err != 0 ? err : EIO);
     }
     write_all(fd_, path_, buf_.data(), buf_.size());
-    crash_point("wal-pre-fsync");
+    inject("wal-pre-fsync");
     if (sync_) {
-      if (const int err = fail_point("wal-fsync"))
+      if (const int err = inject("wal-fsync"))
         throw injected(path_, "fsync WAL", err);
       fsync_or_throw(fd_, path_);
       ++fsyncs_;
     }
-    crash_point("wal-post-fsync");
+    inject("wal-post-fsync");
   } catch (...) {
     // Roll the file back to the last committed frame boundary so a
     // retry (or a later successful append) cannot stack a fresh frame

@@ -60,7 +60,7 @@ class WalWriter {
   /// Appends one frame and group-fsyncs it (when the writer was created
   /// with sync). Crash points: wal-mid-append (half the frame bytes are
   /// written before dying), wal-pre-fsync, wal-post-fsync. Fault
-  /// points (durability/faults.h): wal-append, wal-append-short,
+  /// points (durability/inject.h): wal-append, wal-append-short,
   /// wal-fsync.
   ///
   /// Exception safety: a frame either commits whole (counters advance,

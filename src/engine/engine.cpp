@@ -445,8 +445,8 @@ std::uint64_t StreamingEngine::flush_locked() {
     if (overloaded_) ++stats_.overload_flushes;
     if (durability_) stats_.durability = durability_->totals();
     stats_.publish_pages_cloned.record(index_.last_pages_cloned());
-    stats_.publish_us.record(static_cast<std::size_t>(publish_ms * 1000.0));
-    stats_.flush_us.record(static_cast<std::size_t>(flush_ms * 1000.0));
+    stats_.publish_us.record(static_cast<std::uint64_t>(publish_ms * 1000.0));
+    stats_.flush_us.record(span.flush_us);
     stats_.batch_sizes.record(raw.size());
   }
   // Swap the snapshot in only AFTER its stats are published: a reader
@@ -697,9 +697,9 @@ obs::Rows StreamingEngine::metric_rows() const {
        static_cast<std::int64_t>(arena.chunk_count + arena.jumbo_count)},
   };
   rows.histograms = {
-      {"parcore_flush_us", obs::snapshot_of(s.flush_us)},
-      {"parcore_flush_batch_size", obs::snapshot_of(s.batch_sizes)},
-      {"parcore_publish_us", obs::snapshot_of(s.publish_us)},
+      {"parcore_flush_us", s.flush_us},
+      {"parcore_flush_batch_size", s.batch_sizes},
+      {"parcore_publish_us", s.publish_us},
       {"parcore_publish_pages_cloned", s.publish_pages_cloned},
       {"parcore_engine_init_us", s.engine_init_us},
       {"parcore_verify_us", s.verify_us},

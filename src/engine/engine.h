@@ -41,7 +41,6 @@
 #include "obs/trace.h"
 #include "parallel/parallel_order.h"
 #include "query/versioned_cores.h"
-#include "support/histogram.h"
 #include "support/timer.h"
 #include "support/types.h"
 #include "sync/annotations.h"
@@ -94,10 +93,11 @@ struct SubmitResult {
   std::uint64_t blocked_us = 0;
 };
 
-/// Cumulative counters since engine construction. `flush_us` /
-/// `batch_sizes` are merged across flushes; percentiles come from
-/// SizeHistogram::percentile. These are the engine's only counts: its
-/// metric export (StreamingEngine::metric_rows) renders them.
+/// Cumulative counters since engine construction. `flush_us`,
+/// `publish_us` and `batch_sizes` are power-of-two histograms; their
+/// p50/p99 are bucket upper bounds (obs::Histogram::quantile_upper).
+/// These are the engine's only counts: its metric export
+/// (StreamingEngine::metric_rows) renders them.
 ///
 /// Epoch/stats consistency: `epochs` is the epoch of the snapshot the
 /// stats describe, and a flush updates stats BEFORE swapping the new
@@ -192,12 +192,9 @@ struct EngineStats {
   std::uint64_t durability_rearms = 0;
   bool durability_degraded = false;
   std::uint64_t durability_degraded_epoch = 0;
-  SizeHistogram publish_us{1u << 14};  // per-epoch publish time, µs
-  // Exact-bucket sizes bound the per-engine footprint (~0.5 MB) and the
-  // stats() copy cost: flushes beyond 65.5 ms land in the overflow
-  // bucket, where percentile() degrades to max_seen.
-  SizeHistogram flush_us{1u << 16};    // per-flush wall time, microseconds
-  SizeHistogram batch_sizes{1u << 12}; // raw updates per flush
+  obs::Histogram publish_us;   // per-epoch publish time, µs
+  obs::Histogram flush_us;     // per-flush wall time, µs
+  obs::Histogram batch_sizes;  // raw updates per flush
 };
 
 class StreamingEngine {

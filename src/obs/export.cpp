@@ -73,8 +73,7 @@ std::string human_summary(const Rows& rows) {
     for (const auto& h : rows.histograms) {
       char mean[32];
       std::snprintf(mean, sizeof mean, "%.1f", h.snap.mean());
-      // The last bucket is unbounded (overflow samples of a folded
-      // SizeHistogram land there too): print +Inf, not UINT64_MAX.
+      // The last bucket is unbounded: print +Inf, not UINT64_MAX.
       auto upper = [&h](double q) {
         const std::uint64_t u = h.snap.quantile_upper(q);
         return u == std::numeric_limits<std::uint64_t>::max()

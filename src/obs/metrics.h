@@ -15,10 +15,6 @@
 #include <string>
 #include <vector>
 
-namespace parcore {
-class SizeHistogram;
-}  // namespace parcore
-
 namespace parcore::obs {
 
 /// Fixed-bucket histogram: bucket b holds values with bit_width == b,
@@ -54,16 +50,10 @@ struct Histogram {
     return count == 0 ? 0.0
                       : static_cast<double>(sum) / static_cast<double>(count);
   }
-  /// Upper bound of the bucket containing quantile q (0 for empty).
+  /// Upper bound of the bucket holding the nearest-rank quantile q: the
+  /// ceil(q * count)-th smallest sample (0 for empty).
   std::uint64_t quantile_upper(double q) const;
 };
-
-/// `h` folded into power-of-two buckets for export. A finite bucket is
-/// filled only when its whole range lies in h's exact range
-/// [0, max_exact], so every finite bucket is exact; overflow samples,
-/// and exact ones in the bucket straddling max_exact, land only in the
-/// last (+Inf) bucket. count and sum are exact.
-Histogram snapshot_of(const SizeHistogram& h);
 
 struct CounterRow {
   std::string name;

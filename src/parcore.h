@@ -8,7 +8,6 @@
 //                           reference / parallel exact peel)
 //   core_query              k-core extraction, subcores, degeneracy
 //   SeqOrderMaintainer      sequential Simplified-Order maintenance
-//   TraversalMaintainer     sequential Traversal maintenance (baseline)
 //   ParallelOrderMaintainer the paper's contribution (OurI / OurR)
 //   JeMaintainer            join-edge-set parallel baseline (JEI / JER)
 //   engine::StreamingEngine concurrent ingest + batch coalescing +
@@ -37,7 +36,6 @@
 #include "io/pcg.h"
 #include "io/temporal_stream.h"
 #include "maint/seq_order.h"
-#include "maint/traversal.h"
 #include "parallel/parallel_order.h"
 #include "support/rng.h"
 #include "support/timer.h"

@@ -1,7 +1,6 @@
 #include "support/histogram.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 namespace parcore {
@@ -23,31 +22,6 @@ double SizeHistogram::fraction_at_most(std::size_t bound) const {
   for (std::size_t i = 0; i <= bound && i < counts_.size(); ++i)
     acc += counts_[i];
   return static_cast<double>(acc) / static_cast<double>(total_);
-}
-
-std::size_t SizeHistogram::percentile(double p) const {
-  if (total_ == 0) return 0;
-  p = std::clamp(p, 0.0, 1.0);
-  auto target = static_cast<std::uint64_t>(
-      std::ceil(p * static_cast<double>(total_)));
-  if (target == 0) target = 1;
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    acc += counts_[i];
-    if (acc >= target) return i;
-  }
-  // Target falls among the overflow samples, which all lie in
-  // (counts_.size() - 1, max_seen_]. Their individual values are gone,
-  // so interpolate linearly by rank across that range instead of
-  // snapping every overflow percentile to the maximum (which made p50
-  // and p99 indistinguishable once the exact range overflowed).
-  const std::size_t bound = counts_.size() - 1;
-  if (max_seen_ <= bound || overflow_ == 0) return max_seen_;
-  const std::uint64_t rank = target - acc;  // 1-based within overflow
-  return bound + static_cast<std::size_t>(
-                     static_cast<double>(max_seen_ - bound) *
-                     static_cast<double>(rank) /
-                     static_cast<double>(overflow_));
 }
 
 std::string SizeHistogram::bucket_report() const {

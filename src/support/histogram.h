@@ -30,9 +30,6 @@ class SizeHistogram {
     return value < counts_.size() ? counts_[value] : 0;
   }
   std::uint64_t overflow() const { return overflow_; }
-  /// Largest value counted exactly; larger ones go to overflow().
-  std::size_t max_exact() const { return counts_.size() - 1; }
-  std::uint64_t sum() const { return sum_; }
   std::size_t max_seen() const { return max_seen_; }
   double mean() const {
     return total_ == 0 ? 0.0 : static_cast<double>(sum_) / total_;
@@ -40,15 +37,6 @@ class SizeHistogram {
 
   /// Fraction of samples with value <= bound (paper: ">97% in [0,10]").
   double fraction_at_most(std::size_t bound) const;
-
-  /// Smallest recorded value v such that P[X <= v] >= p (p in [0, 1]);
-  /// an empty histogram returns 0. Exact while the target rank lands in
-  /// the exact range [0, max_exact]; ranks that fall among the overflow
-  /// samples are interpolated linearly by rank over
-  /// (max_exact, max_seen()] — approximate, but monotone in p and equal
-  /// to max_seen() only at the true maximum (p = 1). Used for the
-  /// engine's p50/p99 flush latencies.
-  std::size_t percentile(double p) const;
 
   /// Multi-line report with exponential buckets: 0, 1, 2, 3-4, 5-8, ...
   std::string bucket_report() const;

@@ -405,7 +405,7 @@ TEST(Engine, MultiProducerStressMatchesDecomposition) {
                 st.applied_inserts + st.applied_removes + st.skipped);
   // The coalescer pre-filters everything the maintainer would skip.
   EXPECT_EQ(st.skipped, 0u);
-  EXPECT_EQ(st.flush_us.total(), st.epochs);
+  EXPECT_EQ(st.flush_us.count, st.epochs);
 
   // 4. Invariants of the maintained order structure still hold.
   std::string err;
@@ -724,6 +724,45 @@ TEST(EngineMetrics, TwoEnginesExportTheirOwnStats) {
             histogram_row(rows, "parcore_engine_init_us"))
       EXPECT_EQ(h->count, 1u);
   }
+}
+
+// The flush, publish and batch-size histograms are exported as the
+// very obs::Histograms stats() returns: no fold, every bucket equal,
+// one sample per flush.
+TEST(EngineMetrics, FlushHistogramRowsEqualStatsBucketForBucket) {
+  test::Workload w = test::hub_workload(400, 120, 45);
+  auto g = DynamicGraph::from_edges(w.n, w.base);
+  ThreadTeam team(2);
+  StreamingEngine::Options opts;
+  opts.workers = 2;
+  StreamingEngine eng(g, team, opts);  // manual mode: no flush races
+  // Batches of 1, 2, 4, ... edges so batch_sizes fills several buckets.
+  std::size_t next = 0;
+  for (std::size_t len = 1; next + len <= w.batch.size(); len *= 2) {
+    for (std::size_t i = 0; i < len; ++i, ++next)
+      eng.submit_insert(w.batch[next].u, w.batch[next].v);
+    eng.flush_now();
+  }
+  const engine::EngineStats s = eng.stats();
+  const obs::Rows rows = eng.metric_rows();
+  ASSERT_GE(s.epochs, 5u);
+  EXPECT_GE(s.batch_sizes.quantile_upper(0.99), 31u);
+
+  const std::pair<const char*, const obs::Histogram*> pairs[] = {
+      {"parcore_flush_us", &s.flush_us},
+      {"parcore_publish_us", &s.publish_us},
+      {"parcore_flush_batch_size", &s.batch_sizes},
+  };
+  for (const auto& [name, want] : pairs) {
+    const obs::Histogram* got = histogram_row(rows, name);
+    ASSERT_NE(got, nullptr) << name;
+    EXPECT_EQ(got->count, s.epochs) << name;
+    EXPECT_EQ(got->count, want->count) << name;
+    EXPECT_EQ(got->sum, want->sum) << name;
+    for (std::size_t b = 0; b < obs::Histogram::kBuckets; ++b)
+      EXPECT_EQ(got->counts[b], want->counts[b]) << name << " bucket " << b;
+  }
+  EXPECT_EQ(s.batch_sizes.sum, next);
 }
 
 // Scrapes race running flushes: the arena gauges are read live from

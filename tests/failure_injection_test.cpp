@@ -14,7 +14,7 @@
 
 #include "baseline/je.h"
 #include "decomp/bz.h"
-#include "durability/faults.h"
+#include "durability/inject.h"
 #include "durability/manager.h"
 #include "durability/recovery.h"
 #include "durability/wal.h"
@@ -24,7 +24,6 @@
 #include "io/io_error.h"
 #include "io/pcg.h"
 #include "maint/seq_order.h"
-#include "maint/traversal.h"
 #include "parallel/parallel_order.h"
 #include "test_util.h"
 
@@ -107,18 +106,19 @@ TEST(FailureInjection, TwoVertexGraphLifecycle) {
   ASSERT_TRUE(m.state().check_invariants(g, &err)) << err;
 }
 
-TEST(FailureInjection, SequentialMaintainersRejectConsistently) {
-  auto g1 = test::make_graph(3, {{0, 1}});
-  auto g2 = test::make_graph(3, {{0, 1}});
-  SeqOrderMaintainer seq(g1);
-  TraversalMaintainer trav(g2);
-  for (auto [u, v] : {std::pair<VertexId, VertexId>{0, 0},
-                      {0, 1},    // duplicate
-                      {0, 9},    // out of range
+TEST(FailureInjection, SequentialMaintainerRejectsBadEdges) {
+  auto g = test::make_graph(3, {{0, 1}});
+  SeqOrderMaintainer seq(g);
+  for (auto [u, v] : {std::pair<VertexId, VertexId>{0, 0},  // self-loop
+                      {0, 1},                               // duplicate
+                      {0, 9},                               // out of range
                       {7, 8}}) {
-    EXPECT_EQ(seq.insert_edge(u, v), trav.insert_edge(u, v))
-        << u << "," << v;
+    EXPECT_FALSE(seq.insert_edge(u, v)) << u << "," << v;
   }
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(seq.core(0), 1);
+  std::string err;
+  EXPECT_TRUE(seq.state().check_invariants(g, &err)) << err;
 }
 
 TEST(FailureInjection, JeRejectsMalformedBatch) {
@@ -452,7 +452,7 @@ TEST(DurabilityFuzz, RecoverFallsBackToOlderGenerationOnCorruption) {
 
 // ------------------------------------------- durable-I/O fault points
 //
-// In-process fault injection (durability/faults.h): the armed syscall
+// In-process fault injection (durability/inject.h): the armed syscall
 // THROWS io::IoError instead of killing the process, and the engine's
 // durable-I/O wrapper must absorb it — retry transient blips, truncate
 // torn frames, degrade to memory-only under persistent failure — while
@@ -463,20 +463,20 @@ TEST(DurabilityFuzz, RecoverFallsBackToOlderGenerationOnCorruption) {
 /// other.
 struct FaultGuard {
   explicit FaultGuard(const char* at, int after = 1, int count = 0) {
-    ::setenv("PARCORE_DURABILITY_FAIL_AT", at, 1);
-    ::setenv("PARCORE_DURABILITY_FAIL_AFTER", std::to_string(after).c_str(),
+    ::setenv("PARCORE_DURABILITY_INJECT_AT", at, 1);
+    ::setenv("PARCORE_DURABILITY_INJECT_AFTER", std::to_string(after).c_str(),
              1);
-    ::setenv("PARCORE_DURABILITY_FAIL_COUNT", std::to_string(count).c_str(),
+    ::setenv("PARCORE_DURABILITY_INJECT_COUNT", std::to_string(count).c_str(),
              1);
-    durability::reset_fail_points_for_test();
+    durability::reset_injection_for_test();
   }
   ~FaultGuard() { clear(); }
   static void clear() {
-    ::unsetenv("PARCORE_DURABILITY_FAIL_AT");
-    ::unsetenv("PARCORE_DURABILITY_FAIL_AFTER");
-    ::unsetenv("PARCORE_DURABILITY_FAIL_COUNT");
-    ::unsetenv("PARCORE_DURABILITY_FAIL_ERRNO");
-    durability::reset_fail_points_for_test();
+    ::unsetenv("PARCORE_DURABILITY_INJECT_AT");
+    ::unsetenv("PARCORE_DURABILITY_INJECT_AFTER");
+    ::unsetenv("PARCORE_DURABILITY_INJECT_COUNT");
+    ::unsetenv("PARCORE_DURABILITY_INJECT_ERRNO");
+    durability::reset_injection_for_test();
   }
 };
 

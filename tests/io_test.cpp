@@ -484,15 +484,19 @@ TEST(Cli, EverySubcommandRejectsUnknownOptionsWithExit2) {
            {"serve", "--input", fixture("toy_temporal.txt"), "--plan"}}) {
     EXPECT_EQ(cli::cli_main(argv), 2) << argv[0];
   }
-  // The parallel exact peel and BZ are the only decompositions: the
-  // ParK and h-index spellings are usage errors, not silent fallbacks.
+  // Removed spellings are usage errors, not silent fallbacks: the
+  // parallel exact peel and BZ are the only decompositions (no ParK or
+  // h-index), the Traversal maintainer is gone, and `--verify off` is
+  // recover's one way to skip the cross-check.
   for (const std::vector<std::string>& argv :
        std::vector<std::vector<std::string>>{
            {"decompose", "--input", toy, "--algo", "park"},
            {"decompose", "--input", toy, "--algo", "approx"},
            {"decompose", "--input", toy, "--max-rounds", "4"},
+           {"maintain", "--input", toy, "--algo", "traversal"},
            {"recover", "--dir", "/nonexistent/parcore-ckpt", "--verify",
-            "approx"}}) {
+            "approx"},
+           {"recover", "--dir", "/nonexistent/parcore-ckpt", "--no-verify"}}) {
     EXPECT_EQ(cli::cli_main(argv), 2) << argv[0] << " " << argv[3];
   }
   EXPECT_EQ(cli::cli_main({"decompose", "--input", toy, "--algo", "parallel",

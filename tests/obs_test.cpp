@@ -11,7 +11,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "support/histogram.h"
 
 namespace parcore::obs {
 namespace {
@@ -34,6 +33,12 @@ TEST(ObsHistogramTest, HistogramBucketsAndQuantiles) {
   EXPECT_EQ(h.quantile_upper(0.5), 1u);
   // 1000 has bit_width 10 -> bucket 10, upper bound 2^10 - 1.
   EXPECT_EQ(h.quantile_upper(0.99), 1023u);
+
+  // Nearest rank: of 7 samples, p50 is the 4th and p99 the 7th.
+  Histogram few;
+  for (std::uint64_t v : {1, 2, 4, 8, 16, 32, 64}) few.record(v);
+  EXPECT_EQ(few.quantile_upper(0.5), 15u);
+  EXPECT_EQ(few.quantile_upper(0.99), 127u);
 }
 
 TEST(FlushTraceTest, RingWrapsOldestFirst) {
@@ -135,42 +140,23 @@ TEST(ObsExportTest, HumanSummaryGolden) {
   Histogram h;
   for (int i = 0; i < 4; ++i) h.record(100);
   rows.histograms.push_back({"flush_us", h});
+  // The last bucket is unbounded: its quantile bound reads +Inf.
+  Histogram huge;
+  huge.record(std::uint64_t{1} << 40);
+  rows.histograms.push_back({"stall_us", huge});
 
   EXPECT_EQ(human_summary(rows),
             "metrics:\n"
             "  updates_total = 10\n"
             "  epoch = 4\n"
             "histograms (count / mean / ~p50 / ~p99):\n"
-            "  flush_us = 4 / 100.0 / <=127 / <=127\n");
+            "  flush_us = 4 / 100.0 / <=127 / <=127\n"
+            "  stall_us = 1 / 1099511627776.0 / <=+Inf / <=+Inf\n");
 }
 
 TEST(ObsExportPlain, EmptyRowsRenderEmpty) {
   EXPECT_EQ(prometheus_text(Rows{}), "");
   EXPECT_EQ(human_summary(Rows{}), "");
-}
-
-// An engine's SizeHistogram folded for export (snapshot_of): buckets
-// wholly inside the exact range [0, 10] are exact, the bucket [8, 15]
-// straddling 10 stays empty (its exact sample 9 would sit beside
-// overflow samples it cannot see), overflow lands only in +Inf, and
-// _sum/_count are exact.
-TEST(ObsExportPlain, SizeHistogramPrometheusGolden) {
-  SizeHistogram h(10);
-  for (std::size_t v : {1, 1, 3, 7, 9, 50, 1000}) h.record(v);
-  Rows rows;
-  rows.histograms.push_back({"parcore_test_flush_us", snapshot_of(h)});
-  EXPECT_EQ(prometheus_text(rows),
-            "# TYPE parcore_test_flush_us histogram\n"
-            "parcore_test_flush_us_bucket{le=\"1\"} 2\n"
-            "parcore_test_flush_us_bucket{le=\"3\"} 3\n"
-            "parcore_test_flush_us_bucket{le=\"7\"} 4\n"
-            "parcore_test_flush_us_bucket{le=\"+Inf\"} 7\n"
-            "parcore_test_flush_us_sum 1071\n"
-            "parcore_test_flush_us_count 7\n");
-  // The summary's quantile bound for the unbounded bucket reads +Inf.
-  EXPECT_EQ(human_summary(rows),
-            "histograms (count / mean / ~p50 / ~p99):\n"
-            "  parcore_test_flush_us = 7 / 153.0 / <=3 / <=+Inf\n");
 }
 
 TEST(ObsExportPlain, TraceJsonLineGolden) {

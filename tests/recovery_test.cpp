@@ -1,7 +1,7 @@
 // Durability tests (docs/DURABILITY.md): WAL round-trips, saved-order
 // restore, clean-shutdown recovery, and the fork-based crash matrix —
 // a child process runs the engine with an injected kill point
-// (PARCORE_DURABILITY_CRASH_AT, durability/crash.h), dies with
+// (PARCORE_DURABILITY_INJECT_AT, durability/inject.h), dies with
 // _exit(42), and the parent recovers the directory and differentially
 // verifies the result against bz_decompose.
 //
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "decomp/bz.h"
-#include "durability/crash.h"
+#include "durability/inject.h"
 #include "durability/manager.h"
 #include "durability/recovery.h"
 #include "durability/wal.h"
@@ -201,8 +201,8 @@ CrashWorkload crash_workload() {
 // crash.
 [[noreturn]] void run_crash_child(const std::string& dir, const char* point,
                                   int after, std::size_t interval) {
-  ::setenv("PARCORE_DURABILITY_CRASH_AT", point, 1);
-  ::setenv("PARCORE_DURABILITY_CRASH_AFTER", std::to_string(after).c_str(),
+  ::setenv("PARCORE_DURABILITY_INJECT_AT", point, 1);
+  ::setenv("PARCORE_DURABILITY_INJECT_AFTER", std::to_string(after).c_str(),
            1);
   CrashWorkload w = crash_workload();
   DynamicGraph g = DynamicGraph::from_edges(w.n, w.base);
@@ -222,7 +222,7 @@ CrashWorkload crash_workload() {
 
 struct CrashCase {
   const char* point;
-  int after;                  // PARCORE_DURABILITY_CRASH_AFTER
+  int after;                  // PARCORE_DURABILITY_INJECT_AFTER
   std::size_t interval;       // checkpoint_interval (0 = initial only)
   std::uint64_t expect_ck;    // checkpoint generation recovered from
   std::size_t expect_frames;  // WAL frames replayed

@@ -237,49 +237,6 @@ TEST(Histogram, MergeCarriesOverflowAndMax) {
   EXPECT_EQ(wide.overflow(), 2u);
 }
 
-TEST(Histogram, PercentileExactRange) {
-  SizeHistogram h(100);
-  for (std::size_t v = 1; v <= 100; ++v) h.record(v);
-  EXPECT_EQ(h.percentile(0.0), 1u);
-  EXPECT_EQ(h.percentile(0.5), 50u);
-  EXPECT_EQ(h.percentile(0.99), 99u);
-  EXPECT_EQ(h.percentile(1.0), 100u);
-  SizeHistogram empty(8);
-  EXPECT_EQ(empty.percentile(0.5), 0u);
-  // A lone overflow sample is the whole distribution: every percentile
-  // is that sample.
-  SizeHistogram tiny(4);
-  tiny.record(1000);
-  EXPECT_EQ(tiny.percentile(0.5), 1000u);
-}
-
-TEST(Histogram, PercentileInterpolatesOverflow) {
-  // Exact range [0, 10]; 100 overflow samples spread over (10, 1010].
-  SizeHistogram h(10);
-  for (int i = 0; i < 100; ++i) h.record(static_cast<std::size_t>(1010));
-  EXPECT_EQ(h.max_seen(), 1010u);
-  const std::size_t p50 = h.percentile(0.5);
-  const std::size_t p99 = h.percentile(0.99);
-  // Pre-fix behaviour snapped every overflow percentile to max_seen();
-  // interpolation must keep them distinct and ordered, reaching
-  // max_seen() only at p = 1.
-  EXPECT_LT(p50, p99);
-  EXPECT_LT(p99, 1010u);
-  EXPECT_EQ(h.percentile(1.0), 1010u);
-  EXPECT_NEAR(static_cast<double>(p50), 10.0 + 0.5 * 1000.0, 11.0);
-  EXPECT_NEAR(static_cast<double>(p99), 10.0 + 0.99 * 1000.0, 11.0);
-}
-
-TEST(Histogram, PercentileOverflowBelowBoundIsMax) {
-  // merge() can leave overflow_ > 0 while max_seen_ <= max_exact (a
-  // narrow histogram merged into a wide one); the interpolation range
-  // is then empty and percentile must fall back to max_seen().
-  SizeHistogram narrow(4), wide(100);
-  narrow.record(50);  // overflow for narrow
-  wide.merge(narrow);
-  EXPECT_EQ(wide.percentile(0.99), 50u);
-}
-
 TEST(RunStats, MeanAndBounds) {
   RunStats s = RunStats::from({1.0, 2.0, 3.0});
   EXPECT_DOUBLE_EQ(s.mean, 2.0);

@@ -30,7 +30,6 @@
 #include "io/pcg.h"
 #include "io/temporal_stream.h"
 #include "maint/seq_order.h"
-#include "maint/traversal.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "support/env.h"
@@ -68,7 +67,7 @@ usage: parcore_cli <command> [options]
 
 commands:
   decompose   static core decomposition of a dataset (BZ or parallel peel)
-  maintain    sliding-window batch maintenance (parallel/seq/traversal/je)
+  maintain    sliding-window batch maintenance (parallel/seq/je)
   serve       drive the streaming engine from a temporal update file
   recover     rebuild state from a serve run's checkpoint + WAL directory
   stats       degree distribution + adjacency memory footprint of a dataset
@@ -362,7 +361,7 @@ Sliding-window batch maintenance: replay the dataset in arrival order
 the batch that slides out of the window once it is full.
 
   --input FILE   dataset (edge list / .mtx / .pcg)
-  --algo NAME    parallel (default), seq, traversal, or je
+  --algo NAME    parallel (default), seq, or je
   --window N     live-edge window (default: half the dataset)
   --batch B      edges per step (default 1000)
   --workers W    parallel/je workers per batch (default 8)
@@ -374,8 +373,7 @@ int cmd_maintain(const Args& args) {
   const std::string input = args.get("input");
   if (input.empty()) return usage_error(kMaintainUsage, "--input is required");
   const std::string algo = args.get("algo", "parallel");
-  if (algo != "parallel" && algo != "seq" && algo != "traversal" &&
-      algo != "je")
+  if (algo != "parallel" && algo != "seq" && algo != "je")
     return usage_error(kMaintainUsage, "unknown --algo '" + algo + "'");
 
   WallTimer load_timer;
@@ -406,33 +404,26 @@ int cmd_maintain(const Args& args) {
   ThreadTeam team(std::max(workers, 1));
   std::unique_ptr<ParallelOrderMaintainer> par;
   std::unique_ptr<SeqOrderMaintainer> seq;
-  std::unique_ptr<TraversalMaintainer> trav;
   std::unique_ptr<JeMaintainer> je;
   if (algo == "parallel")
     par = std::make_unique<ParallelOrderMaintainer>(g, team);
   else if (algo == "seq") seq = std::make_unique<SeqOrderMaintainer>(g);
-  else if (algo == "traversal") trav = std::make_unique<TraversalMaintainer>(g);
   else je = std::make_unique<JeMaintainer>(g, team);
 
   auto insert = [&](std::span<const Edge> edges) {
     if (par) par->insert_batch(edges, workers);
     else if (seq) seq->insert_batch(edges);
-    else if (trav) trav->insert_batch(edges);
     else je->insert_batch(edges, workers);
   };
   auto remove = [&](std::span<const Edge> edges) {
     if (par) par->remove_batch(edges, workers);
     else if (seq) seq->remove_batch(edges);
-    else if (trav) trav->remove_batch(edges);
     else je->remove_batch(edges, workers);
   };
   auto cores = [&]() -> std::vector<CoreValue> {
     std::vector<CoreValue> out(data.num_vertices);
     for (VertexId v = 0; v < out.size(); ++v)
-      out[v] = par    ? par->core(v)
-               : seq  ? seq->core(v)
-               : trav ? trav->core(v)
-                      : je->core(v);
+      out[v] = par ? par->core(v) : seq ? seq->core(v) : je->core(v);
     return out;
   };
 
@@ -826,14 +817,14 @@ int cmd_serve(const Args& args) {
       static_cast<unsigned long long>(stats.coalesce.duplicates),
       static_cast<unsigned long long>(stats.coalesce.noops),
       static_cast<unsigned long long>(stats.coalesce.rejected),
-      static_cast<double>(stats.flush_us.percentile(0.5)) / 1000.0,
-      static_cast<double>(stats.flush_us.percentile(0.99)) / 1000.0,
+      static_cast<double>(stats.flush_us.quantile_upper(0.5)) / 1000.0,
+      static_cast<double>(stats.flush_us.quantile_upper(0.99)) / 1000.0,
       static_cast<unsigned long long>(snap->epoch), snap->max_core);
   std::printf(
       "  snapshot publish p50 %.0f us, p99 %.0f us; %llu pages cloned "
       "(page %zu cores)\n",
-      static_cast<double>(stats.publish_us.percentile(0.5)),
-      static_cast<double>(stats.publish_us.percentile(0.99)),
+      static_cast<double>(stats.publish_us.quantile_upper(0.5)),
+      static_cast<double>(stats.publish_us.quantile_upper(0.99)),
       static_cast<unsigned long long>(stats.publish_pages_cloned.sum),
       snap->view.page_size());
   if (readers > 0)
@@ -978,9 +969,7 @@ core numbers against a fresh decomposition of the replayed graph.
   --workers W    maintainer workers for the WAL replay, also used by the
                  parallel verify oracle (default 4)
   --verify MODE  verify oracle: parallel (exact peel, default), bz
-                 (sequential), or off; --no-verify is shorthand for
-                 --verify off
-  --no-verify    skip the cross-check entirely
+                 (sequential), or off (skip the cross-check)
 
 Exits 0 when recovery succeeds (and, unless the verify is off, the
 recovered cores match the oracle); 1 on unrecoverable corruption or a
@@ -994,9 +983,7 @@ int cmd_recover(const Args& args) {
   durability::RecoveryOptions ropts;
   ropts.dir = dir;
   ropts.workers = static_cast<int>(args.get_positive("workers", 4));
-  ropts.verify = !args.has("no-verify");
-  const std::string verify_mode =
-      args.get("verify", "parallel");
+  const std::string verify_mode = args.get("verify", "parallel");
   if (verify_mode == "off")
     ropts.verify = false;
   else if (verify_mode == "bz")
@@ -1064,7 +1051,7 @@ int cli_main(const std::vector<std::string>& args) {
         "trace-out", "checkpoint-dir", "checkpoint-interval", "reverify",
         "ingest-cap", "overload"},
        {"no-verify"}, cmd_serve},
-      {"recover", kRecoverUsage, {"dir", "workers", "verify"}, {"no-verify"},
+      {"recover", kRecoverUsage, {"dir", "workers", "verify"}, {},
        cmd_recover},
       {"stats", kStatsUsage, {"input", "live"}, {}, cmd_stats},
   };

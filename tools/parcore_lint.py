@@ -20,13 +20,17 @@ Rules (each maps to a section of docs/STATIC_ANALYSIS.md):
               whole point of sharding evaporates.
 
   getenv      Raw getenv() only inside src/support/env.cpp (the typed
-              accessors) and src/durability/{crash,faults}.cpp (the
-              injection shims, which must stay dependency-free).
+              accessors) and src/durability/inject.cpp (the injection
+              points, which must stay dependency-free).
               Everything else goes through env_int/env_flag/env_str/
               env_present so defaults and parsing live in one place.
 
   env-doc     Every "PARCORE_*" environment-variable string literal in
-              the tree must be documented in docs/CONFIG.md.
+              the tree must be documented in docs/CONFIG.md, and every
+              PARCORE_* name docs/CONFIG.md documents must be mentioned
+              by some file under src/, tools/, bench/, tests/,
+              examples/ or CMakeLists.txt (a stale row documents a
+              knob that no longer exists).
 
 Exit status: 0 clean, 1 violations (printed one per line as
 path:line: [rule] message), 2 usage/internal error.
@@ -73,16 +77,20 @@ BARE_LOCK_ALLOWLIST = {
 # trip it.
 SHARDED_STRUCT_NAMES = ("Shard", "Cell")
 
-# getenv: the typed accessor implementation plus the two injection
-# shims (kept free of support/ dependencies so they can be linked into
+# getenv: the typed accessor implementation plus the injection points
+# (kept free of support/ dependencies so they can be linked into
 # crash-test children without dragging in more of the tree).
 GETENV_ALLOWLIST = {
     "src/support/env.cpp",
-    "src/durability/crash.cpp",
-    "src/durability/faults.cpp",
+    "src/durability/inject.cpp",
 }
 
 CONFIG_MD = "docs/CONFIG.md"
+
+# env-doc, reverse direction: where a documented PARCORE_* name must be
+# mentioned (in code, comments or build files) to count as live.
+USE_DIRS = ["src", "tools", "bench", "tests", "examples"]
+USE_FILES = ["CMakeLists.txt"]
 
 BARE_LOCK_RE = re.compile(r"(?:\.|->)\s*(?:un)?lock\s*\(\s*\)")
 TRY_LOCK_RE = re.compile(r"\.\s*try_lock\s*\(")
@@ -92,6 +100,8 @@ STRUCT_RE = re.compile(
 )
 GETENV_RE = re.compile(r"(?:\bstd\s*::\s*|::)?\bgetenv\s*\(")
 ENV_VAR_RE = re.compile(r'"(PARCORE_[A-Z0-9_]+)"')
+# A name ending in "_" is a family heading (`PARCORE_WAL_*`).
+NAME_RE = re.compile(r"PARCORE_[A-Z0-9_]+")
 
 
 def strip_comments(text: str) -> str:
@@ -141,14 +151,43 @@ def cxx_files(root: pathlib.Path):
                 yield p
 
 
+def mentioned_names(root: pathlib.Path) -> set[str]:
+    paths = [root / f for f in USE_FILES]
+    for d in USE_DIRS:
+        if (root / d).is_dir():
+            paths.extend(sorted((root / d).rglob("*")))
+    names: set[str] = set()
+    for p in paths:
+        if p.is_file():
+            names.update(NAME_RE.findall(p.read_text(errors="replace")))
+    return names
+
+
 def lint(root: pathlib.Path) -> list[str]:
     errors: list[str] = []
     documented: set[str] = set()
     config_md = root / CONFIG_MD
     if config_md.is_file():
-        documented = set(
-            re.findall(r"PARCORE_[A-Z0-9_]+", config_md.read_text())
-        )
+        config_lines = config_md.read_text().splitlines()
+        documented = set(NAME_RE.findall("\n".join(config_lines)))
+        mentioned = mentioned_names(root)
+
+        def live(var: str) -> bool:
+            if var.endswith("_"):
+                return any(m.startswith(var) for m in mentioned)
+            return var in mentioned
+
+        for ln, line in enumerate(config_lines, 1):
+            for var in sorted(set(NAME_RE.findall(line))):
+                if live(var):
+                    continue
+                if var.endswith("_"):
+                    var += "*"
+                errors.append(
+                    f"{CONFIG_MD}:{ln}: [env-doc] '{var}' is documented "
+                    "but no file under " + ", ".join(USE_DIRS + USE_FILES)
+                    + " mentions it"
+                )
 
     for path in cxx_files(root):
         rel = path.relative_to(root).as_posix()
@@ -217,14 +256,27 @@ CLEAN = (
 )
 
 
+# A documented name that nothing mentions (the reverse env-doc check).
+STALE_DOC = "`PARCORE_SELFTEST_STALE`\n"
+
+
 def self_test() -> int:
     failures = []
     with tempfile.TemporaryDirectory(prefix="parcore_lint_") as tmp:
         root = pathlib.Path(tmp)
         (root / "docs").mkdir()
-        (root / "docs" / "CONFIG.md").write_text("`PARCORE_SELFTEST_DOCUMENTED`\n")
+        config_md = root / "docs" / "CONFIG.md"
+        config_md.write_text("`PARCORE_SELFTEST_DOCUMENTED`\n")
         srcdir = root / "src" / "seeded"
         srcdir.mkdir(parents=True)
+
+        # A clean file must pass every rule; it stays in place below so
+        # the documented name is mentioned and only seeds can fire.
+        clean = srcdir / "clean.cpp"
+        clean.write_text(CLEAN)
+        errs = lint(root)
+        if errs:
+            failures.append("clean file flagged: " + "; ".join(errs))
 
         # Each seeded violation must be flagged with the right rule tag.
         for rule, code in SEEDED.items():
@@ -235,12 +287,12 @@ def self_test() -> int:
                 failures.append(f"rule '{rule}' did NOT fire on seeded violation")
             f.unlink()
 
-        # A clean file must pass every rule.
-        clean = srcdir / "clean.cpp"
-        clean.write_text(CLEAN)
+        config_md.write_text(config_md.read_text() + STALE_DOC)
         errs = lint(root)
-        if errs:
-            failures.append("clean file flagged: " + "; ".join(errs))
+        if not any("[env-doc]" in e and "PARCORE_SELFTEST_STALE" in e
+                   for e in errs):
+            failures.append("rule 'env-doc' did NOT fire on a documented "
+                            "name no file mentions")
 
     if failures:
         print("parcore_lint self-test FAILED:", file=sys.stderr)
