@@ -1,8 +1,6 @@
 #include "decomp/bz.h"
 
 #include <algorithm>
-#include <queue>
-#include <tuple>
 
 namespace parcore {
 
@@ -62,60 +60,6 @@ Decomposition bz_decompose(const DynamicGraph& g) {
     }
   }
   d.peel_order = std::move(vert);
-  return d;
-}
-
-Decomposition bz_decompose_with_policy(const DynamicGraph& g, PeelTie policy,
-                                       Rng* rng) {
-  const std::size_t n = g.num_vertices();
-  Decomposition d;
-  d.core.assign(n, 0);
-  d.peel_order.reserve(n);
-  if (n == 0) return d;
-
-  Rng local_rng(0xc0ffee);
-  if (rng == nullptr) rng = &local_rng;
-
-  std::vector<std::uint32_t> deg(n);
-  std::vector<std::uint64_t> tie(n);
-  for (VertexId v = 0; v < n; ++v) {
-    deg[v] = static_cast<std::uint32_t>(g.degree(v));
-    switch (policy) {
-      case PeelTie::kSmallDegreeFirst:
-        tie[v] = deg[v];
-        break;
-      case PeelTie::kLargeDegreeFirst:
-        tie[v] = ~static_cast<std::uint64_t>(deg[v]);
-        break;
-      case PeelTie::kRandom:
-        tie[v] = rng->next();
-        break;
-    }
-  }
-
-  // Lazy-deletion min-heap keyed by (current degree, tie, vertex).
-  using Key = std::tuple<std::uint32_t, std::uint64_t, VertexId>;
-  std::priority_queue<Key, std::vector<Key>, std::greater<Key>> heap;
-  for (VertexId v = 0; v < n; ++v) heap.emplace(deg[v], tie[v], v);
-
-  std::vector<bool> peeled(n, false);
-  CoreValue level = 0;
-  while (!heap.empty()) {
-    auto [dd, tt, v] = heap.top();
-    heap.pop();
-    if (peeled[v] || dd != deg[v]) continue;  // stale entry
-    peeled[v] = true;
-    level = std::max(level, static_cast<CoreValue>(dd));
-    d.core[v] = level;
-    d.peel_order.push_back(v);
-    for (VertexId u : g.neighbors(v)) {
-      if (!peeled[u] && deg[u] > deg[v]) {
-        --deg[u];
-        heap.emplace(deg[u], tie[u], u);
-      }
-    }
-  }
-  d.max_core = level;
   return d;
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "graph/dynamic_graph.h"
-#include "support/rng.h"
 #include "support/types.h"
 
 namespace parcore {
@@ -24,14 +23,5 @@ struct Decomposition {
 /// sorted by degree, O(n + m). Ties resolve toward small initial degree
 /// ("small degree first", the strategy the paper selects in §3.3.1).
 Decomposition bz_decompose(const DynamicGraph& g);
-
-/// Tie-break strategies for dequeuing equal-degree vertices (§3.3.1).
-enum class PeelTie { kSmallDegreeFirst, kLargeDegreeFirst, kRandom };
-
-/// Heap-based BZ variant with an explicit tie policy; O(m log n). Used by
-/// the tie-policy ablation; produces the same core numbers, different
-/// k-order instances.
-Decomposition bz_decompose_with_policy(const DynamicGraph& g, PeelTie policy,
-                                       Rng* rng = nullptr);
 
 }  // namespace parcore

@@ -8,7 +8,6 @@
 #include "decomp/core_query.h"
 #include "decomp/parallel_peel.h"
 #include "io/io_error.h"
-#include "obs/export.h"
 #include "support/env.h"
 #include "support/timer.h"
 
@@ -25,16 +24,16 @@ StreamingEngine::StreamingEngine(DynamicGraph& g, ThreadTeam& team,
       maintainer_(g, team, opts.maintainer),
       // &notifier_ outlives queue_ (both members, queue_ declared
       // first); the queue only stores the pointer here.
-      queue_(IngestQueue::Options{opts.shards, opts.ingest_cap,
-                                  opts.overload, &notifier_}),
+      queue_(IngestQueue::Options{.cap = opts.ingest_cap,
+                                  .policy = opts.overload,
+                                  .overflow = &notifier_}),
       // A cap below the flush threshold would leave a full buffer that
       // never crosses the threshold: clamp so at-cap always flushes.
       threshold_(std::max<std::size_t>(
           1, opts.ingest_cap > 0
                  ? std::min(opts.flush_threshold, opts.ingest_cap)
                  : opts.flush_threshold)),
-      index_(query::VersionedCoreIndex::Options{opts.snapshot_page}),
-      trace_(opts.trace_capacity) {
+      index_(query::VersionedCoreIndex::Options{opts.snapshot_page}) {
   // Epoch 0: the initial decomposition, the index's one full O(n)
   // build. Every later epoch is a COW delta on top of it.
   query::CoreView view = index_.rebuild(
@@ -45,8 +44,6 @@ StreamingEngine::StreamingEngine(DynamicGraph& g, ThreadTeam& team,
     SpinGuard g(snap_mu_);
     snap_ = std::move(snap);
   }
-  stats_.memory = graph_.memory_stats();
-  stats_.memory_epoch = 0;
 
   // Durability: the initial checkpoint IS epoch 0 — recovery always has
   // a base image, and the first WAL generation opens beside it. The
@@ -74,13 +71,10 @@ StreamingEngine::~StreamingEngine() { stop(); }
 void StreamingEngine::start() {
   if (running_) return;
   notifier_.reset();  // clear a previous stop(): start/stop can cycle
-  reporter_notifier_.reset();
   reverify_notifier_.reset();
   queue_.open();  // re-arm the admission cap after a previous stop()
   running_ = true;
   scheduler_ = std::thread([this] { scheduler_loop(); });
-  if (opts_.report_interval_ms > 0.0)
-    reporter_ = std::thread([this] { reporter_loop(); });
   if (opts_.reverify_interval_ms > 0.0)
     reverifier_ = std::thread([this] { reverifier_loop(); });
 }
@@ -93,10 +87,8 @@ void StreamingEngine::stop() {
   queue_.close();
   if (running_) {
     notifier_.request_stop();
-    reporter_notifier_.request_stop();
     reverify_notifier_.request_stop();
     scheduler_.join();
-    if (reporter_.joinable()) reporter_.join();
     if (reverifier_.joinable()) reverifier_.join();
     running_ = false;
   }
@@ -106,27 +98,18 @@ void StreamingEngine::stop() {
   if (queue_.approx_size() > 0 ||
       repair_requested_.load(std::memory_order_relaxed))
     flush_now();
-  // Quiescent now (scheduler joined, producers done): refresh the
-  // memory sample so post-run stats reflect the final graph even when
-  // the run was shorter than om_compact_interval.
-  {
-    MutexGuard lk(flush_mu_);
-    // Shutdown checkpoint: anything logged since the last periodic one
-    // becomes part of a fresh generation, so a clean stop never needs
-    // WAL replay on the next recover. Skipped while degraded — the
-    // whole point of memory-only mode is that durable I/O stopped
-    // working; stats().durability_degraded reports it.
-    if (durability_ && !durability_degraded_ && durability_->dirty()) {
-      durable_io(
-          [&] { durability_->checkpoint(make_checkpoint(published_epoch_)); },
-          "shutdown checkpoint");
-      MutexGuard lk2(stats_mu_);
-      stats_.durability = durability_->totals();
-    }
-    const GraphMemoryStats mem = graph_.memory_stats();
+  // Shutdown checkpoint: anything logged since the last periodic one
+  // becomes part of a fresh generation, so a clean stop never needs WAL
+  // replay on the next recover. Skipped while degraded — the whole
+  // point of memory-only mode is that durable I/O stopped working;
+  // stats().durability_degraded reports it.
+  MutexGuard lk(flush_mu_);
+  if (durability_ && !durability_degraded_ && durability_->dirty()) {
+    durable_io(
+        [&] { durability_->checkpoint(make_checkpoint(published_epoch_)); },
+        "shutdown checkpoint");
     MutexGuard lk2(stats_mu_);
-    stats_.memory = mem;
-    stats_.memory_epoch = stats_.epochs;
+    stats_.durability = durability_->totals();
   }
 }
 
@@ -162,21 +145,6 @@ void StreamingEngine::scheduler_loop() {
       flush_locked();
     }
     if (stopping) return;
-  }
-}
-
-void StreamingEngine::reporter_loop() {
-  const auto interval =
-      std::chrono::duration<double, std::milli>(opts_.report_interval_ms);
-  for (;;) {
-    reporter_notifier_.wait_for(interval);
-    if (reporter_notifier_.stop_requested()) return;
-    const std::string summary =
-        obs::human_summary(metric_rows());
-    // One write, unbuffered target: interleaves sanely with other
-    // stderr traffic.
-    std::fprintf(stderr, "[parcore obs] epoch=%llu\n%s",
-                 static_cast<unsigned long long>(epoch()), summary.c_str());
   }
 }
 
@@ -343,11 +311,6 @@ std::uint64_t StreamingEngine::flush_locked() {
     om_reclaimed = maintainer_.state().levels().compact_all();
     om_compacted = true;
   }
-  // The memory sample is an O(n) vertex scan: take it only on the
-  // compaction cadence (same quiescence) so it bills to the om-compact
-  // phase, and before stats_mu_ so readers never block on the scan.
-  GraphMemoryStats mem_sample;
-  if (om_compacted) mem_sample = graph_.memory_stats();
   const std::uint64_t t_compact = timer.elapsed_us();
 
   const std::uint64_t epoch = ++published_epoch_;
@@ -422,8 +385,6 @@ std::uint64_t StreamingEngine::flush_locked() {
     if (om_compacted) {
       ++stats_.om_compactions;
       stats_.om_groups_reclaimed += om_reclaimed;
-      stats_.memory = mem_sample;
-      stats_.memory_epoch = epoch;
     }
     stats_.deferred_edges += span.deferred_edges;
     stats_.coalesce += batch.stats;
@@ -595,11 +556,17 @@ void StreamingEngine::adapt_threshold(double flush_ms, std::size_t raw) {
   // by more than ~2x.
   const double ratio = opts_.target_flush_ms / flush_ms;
   const double step = std::clamp(std::sqrt(ratio), 0.5, 2.0);
+  // Never above the ingest cap, for the reason the constructor clamps
+  // it: a full buffer must still cross the threshold and flush, and the
+  // overload detector compares the backlog against it.
+  const std::size_t cap = opts_.ingest_cap;
+  const std::size_t hi =
+      cap > 0 ? std::min(opts_.max_threshold, cap) : opts_.max_threshold;
+  const std::size_t lo = std::min(opts_.min_threshold, hi);
   const auto cur = threshold_.load(std::memory_order_relaxed);
   const auto next = static_cast<std::size_t>(
-      std::clamp(static_cast<double>(cur) * step,
-                 static_cast<double>(opts_.min_threshold),
-                 static_cast<double>(opts_.max_threshold)));
+      std::clamp(static_cast<double>(cur) * step, static_cast<double>(lo),
+                 static_cast<double>(hi)));
   threshold_.store(next, std::memory_order_relaxed);
 }
 
@@ -615,31 +582,6 @@ std::shared_ptr<const EngineSnapshot> StreamingEngine::snapshot() const {
 }
 
 EngineStats StreamingEngine::stats() const {
-  // Lazy memory refresh (staleness rule documented at
-  // EngineStats::memory): only when the sample is older than the
-  // configured epoch budget AND the flush lock is free — a running
-  // flush is never blocked, and the O(n) scan runs outside stats_mu_ so
-  // concurrent readers are never blocked either.
-  if (opts_.memory_refresh_epochs > 0) {
-    // Adopt-guard try-lock idiom (sync/mutex.h): the analysis tracks
-    // the acquisition through try_lock() and the release through the
-    // adopting guard's destructor.
-    if (flush_mu_.try_lock()) {
-      MutexGuard fl(flush_mu_, kAdoptLock);
-      bool stale = false;
-      {
-        MutexGuard lk(stats_mu_);
-        stale = stats_.epochs - stats_.memory_epoch >=
-                opts_.memory_refresh_epochs;
-      }
-      if (stale) {
-        const GraphMemoryStats mem = graph_.memory_stats();
-        MutexGuard lk(stats_mu_);
-        stats_.memory = mem;
-        stats_.memory_epoch = stats_.epochs;
-      }
-    }
-  }
   MutexGuard lk(stats_mu_);
   EngineStats s = stats_;
   s.submitted = submitted_.load(std::memory_order_relaxed);
@@ -652,8 +594,8 @@ EngineStats StreamingEngine::stats() const {
 
 obs::Rows StreamingEngine::metric_rows() const {
   const EngineStats s = stats();
-  // Live, not the lazily refreshed `memory` sample: O(shards) under the
-  // arena's shard spinlocks, so a running flush is fine.
+  // Live: O(shards) under the arena's shard spinlocks, so a running
+  // flush is fine.
   const SlabStoreStats arena = graph_.arena_stats();
   const durability::Manager::Totals& d = s.durability;
   auto flag = [](bool b) -> std::int64_t { return b ? 1 : 0; };
@@ -709,8 +651,6 @@ obs::Rows StreamingEngine::metric_rows() const {
 }
 
 StreamingEngine::Options options_from_env(StreamingEngine::Options base) {
-  base.shards = static_cast<std::size_t>(env_int(
-      "PARCORE_ENGINE_SHARDS", static_cast<long>(base.shards)));
   base.flush_threshold = static_cast<std::size_t>(env_int(
       "PARCORE_ENGINE_FLUSH_THRESHOLD",
       static_cast<long>(base.flush_threshold)));
@@ -749,16 +689,6 @@ StreamingEngine::Options options_from_env(StreamingEngine::Options base) {
               static_cast<long>(base.om_compact_interval)));
   if (env_present("PARCORE_ENGINE_SNAPSHOT_GRAPH"))
     base.snapshot_graph = env_flag("PARCORE_ENGINE_SNAPSHOT_GRAPH");
-  base.memory_refresh_epochs = static_cast<std::size_t>(std::max(
-      env_int("PARCORE_ENGINE_MEMORY_REFRESH",
-              static_cast<long>(base.memory_refresh_epochs)),
-      0L));
-  base.trace_capacity = static_cast<std::size_t>(std::clamp(
-      env_int("PARCORE_OBS_TRACE_CAP",
-              static_cast<long>(base.trace_capacity)),
-      1L, 1L << 20));
-  base.report_interval_ms = std::max(
-      env_double("PARCORE_OBS_REPORT_MS", base.report_interval_ms), 0.0);
   base.reverify_interval_ms = std::max(
       env_double("PARCORE_SERVE_REVERIFY_MS", base.reverify_interval_ms),
       0.0);

