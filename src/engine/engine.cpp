@@ -274,6 +274,8 @@ std::uint64_t StreamingEngine::flush_locked() {
         static_cast<std::uint64_t>(t.workers) * t.dispatch_us;
     span.worker_idle_us += wall > t.busy_us ? wall - t.busy_us : 0;
     span.deferred_edges += t.deferred;
+    span.adjacency_scanned += t.scanned;
+    span.adjacency_repartitions += t.repartitions;
     span.workers = std::max(span.workers, static_cast<std::uint32_t>(
                                               std::max(t.workers, 0)));
   };
@@ -387,6 +389,8 @@ std::uint64_t StreamingEngine::flush_locked() {
       stats_.om_groups_reclaimed += om_reclaimed;
     }
     stats_.deferred_edges += span.deferred_edges;
+    stats_.adjacency_entries_scanned += span.adjacency_scanned;
+    stats_.adjacency_repartitions += span.adjacency_repartitions;
     stats_.coalesce += batch.stats;
     stats_.phases.drain_us += span.drain_us;
     stats_.phases.coalesce_us += span.coalesce_us;
@@ -612,6 +616,8 @@ obs::Rows StreamingEngine::metric_rows() const {
       {"parcore_worker_busy_us_total", s.phases.worker_busy_us},
       {"parcore_worker_idle_us_total", s.phases.worker_idle_us},
       {"parcore_deferred_edges_total", s.deferred_edges},
+      {"parcore_adjacency_entries_scanned_total", s.adjacency_entries_scanned},
+      {"parcore_adjacency_repartitions_total", s.adjacency_repartitions},
       {"parcore_verify_runs_total", s.verify_runs},
       {"parcore_verify_mismatches_total", s.verify_mismatches},
       {"parcore_admission_shed_total", s.admission.shed},

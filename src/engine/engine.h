@@ -116,6 +116,10 @@ struct EngineStats {
   /// Batch edges set aside because another worker held an endpoint
   /// (summed FlushSpan::deferred_edges).
   std::uint64_t deferred_edges = 0;
+  /// Adjacency entries read by the maintainer's scans, and the scans
+  /// that repartitioned their list first (summed FlushSpan fields).
+  std::uint64_t adjacency_entries_scanned = 0;
+  std::uint64_t adjacency_repartitions = 0;
   /// Per-phase wall time summed over every flush, microseconds. The
   /// eight phases partition each flush window (obs/trace.h FlushSpan),
   /// so their sums track `flush_us`'s total up to per-flush rounding.

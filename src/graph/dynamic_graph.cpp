@@ -46,8 +46,8 @@ void DynamicGraph::assign_compact_from(const DynamicGraph& other) {
     const VertexRec& src = other.verts_[u];
     VertexRec& dst = verts_[u];
     dst.degree = src.degree;
+    dst.hi = src.hi;  // entries keep their order, so the prefix carries over
     if (src.degree <= kInlineDegree) {
-      dst.capacity = kInlineDegree;
       dst.slab = nullptr;
       std::memcpy(dst.inline_storage, data(src),
                   src.degree * sizeof(VertexId));
@@ -56,7 +56,8 @@ void DynamicGraph::assign_compact_from(const DynamicGraph& other) {
       // fresh chunks, so the copy is a sequential arena fill.
       const std::size_t cls = SlabStore::size_class(src.degree);
       dst.slab = store_.allocate(cls, u);
-      dst.capacity = static_cast<std::uint32_t>(SlabStore::class_entries(cls));
+      dst.inline_storage[0] =
+          static_cast<std::uint32_t>(SlabStore::class_entries(cls));
       std::memcpy(dst.slab, src.slab, src.degree * sizeof(VertexId));
     }
   }
@@ -83,8 +84,8 @@ DynamicGraph DynamicGraph::from_edges(std::size_t n,
   for (const Edge& e : edges) {
     if (e.u == e.v) continue;
     if (e.u >= n || e.v >= n) continue;
-    g.append(e.u, e.v);
-    g.append(e.v, e.u);
+    g.append(e.u, e.v, false);
+    g.append(e.v, e.u, false);
   }
   std::size_t degree_sum = 0;
   for (VertexId v = 0; v < n; ++v) {
@@ -98,8 +99,8 @@ DynamicGraph DynamicGraph::from_edges(std::size_t n,
   return g;
 }
 
-void DynamicGraph::reserve_degree(VertexId u, std::size_t capacity) {
-  if (capacity > verts_[u].capacity) grow(u, capacity);
+void DynamicGraph::reserve_degree(VertexId u, std::size_t entries) {
+  if (entries > capacity(verts_[u])) grow(u, entries);
 }
 
 void DynamicGraph::grow(VertexId u, std::size_t min_capacity) {
@@ -108,15 +109,18 @@ void DynamicGraph::grow(VertexId u, std::size_t min_capacity) {
   VertexId* slab = store_.allocate(cls, u);
   std::memcpy(slab, data(r), r.degree * sizeof(VertexId));
   if (r.slab != nullptr)
-    store_.deallocate(r.slab, SlabStore::size_class(r.capacity), u);
+    store_.deallocate(r.slab, SlabStore::size_class(capacity(r)), u);
   r.slab = slab;
-  r.capacity = static_cast<std::uint32_t>(SlabStore::class_entries(cls));
+  r.inline_storage[0] =
+      static_cast<std::uint32_t>(SlabStore::class_entries(cls));
 }
 
-void DynamicGraph::append(VertexId u, VertexId v) {
+void DynamicGraph::append(VertexId u, VertexId v, bool in_prefix) {
   VertexRec& r = verts_[u];
-  if (r.degree == r.capacity) grow(u, r.degree + 1);
-  data(r)[r.degree++] = v;
+  if (r.degree == capacity(r)) grow(u, r.degree + 1);
+  VertexId* p = data(r);
+  p[r.degree++] = v;
+  if (in_prefix) std::swap(p[r.hi++], p[r.degree - 1]);
 }
 
 bool DynamicGraph::has_edge(VertexId u, VertexId v) const {
@@ -134,9 +138,11 @@ bool DynamicGraph::insert_edge(VertexId u, VertexId v) {
   return true;
 }
 
-void DynamicGraph::insert_edge_unchecked(VertexId u, VertexId v) {
-  append(u, v);
-  append(v, u);
+void DynamicGraph::insert_edge_unchecked(VertexId u, VertexId v,
+                                         bool v_in_prefix_of_u,
+                                         bool u_in_prefix_of_v) {
+  append(u, v, v_in_prefix_of_u);
+  append(v, u, u_in_prefix_of_v);
   num_edges_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -146,6 +152,12 @@ bool DynamicGraph::erase_from(VertexId u, VertexId x) {
   VertexId* end = p + r.degree;
   VertexId* it = std::find(p, end, x);
   if (it == end) return false;
+  // Fill the hole from the end of its part; a prefix hole hands the
+  // prefix's last slot on to the list's last entry.
+  if (it < p + r.hi) {
+    *it = p[r.hi - 1];
+    it = p + --r.hi;
+  }
   *it = end[-1];
   --r.degree;
   return true;
@@ -184,7 +196,7 @@ GraphMemoryStats DynamicGraph::memory_stats() const {
       ++out.inline_vertices;
     } else {
       out.slab_used_bytes += r.degree * sizeof(VertexId);
-      out.slab_capacity_bytes += r.capacity * sizeof(VertexId);
+      out.slab_capacity_bytes += capacity(r) * sizeof(VertexId);
     }
   }
   const SlabStoreStats arena = store_.stats();

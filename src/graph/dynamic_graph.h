@@ -10,16 +10,24 @@
 // larger adjacency lives in a power-of-two slab carved from the
 // arena-backed SlabStore (graph/slab_store.h). Growth doubles the
 // capacity by relocating into the next size class under the vertex
-// lock; removal swap-erases in place and never shrinks, so the
-// steady-state insert/remove hot path performs no allocation at all.
+// lock; removal is a partition-preserving erase in place and never
+// shrinks, so the steady-state insert/remove hot path performs no
+// allocation at all.
+//
+// Each list is split in two: a prefix adj(u)[0, hi(u)) and the rest.
+// The graph keeps the split through every edit (an append lands outside
+// the prefix unless asked otherwise; an erase keeps both parts
+// contiguous) but gives it no meaning. ParallelOrderMaintainer keeps
+// the neighbours its scans can use in the prefix (DESIGN.md §3.1).
 //
 // Thread-safety contract (unchanged from the vector<vector> layout):
 // DynamicGraph performs no per-vertex synchronisation. The maintainers
 // mutate an edge (u,v) only while holding the vertex locks of BOTH u
-// and v, and read adj(w) — including the span from neighbors() — only
-// while holding w's lock (or at quiescence), which makes all accesses,
-// including grow-relocations, race-free by construction. Slab
-// allocation itself is internally sharded and thread-safe.
+// and v, and read or repartition adj(w) — including the spans from
+// neighbors() and prefix() — only while holding w's lock (or at
+// quiescence), which makes all accesses, including grow-relocations,
+// race-free by construction. Slab allocation itself is internally
+// sharded and thread-safe.
 #pragma once
 
 #include <atomic>
@@ -111,6 +119,26 @@ class DynamicGraph {
 
   std::size_t degree(VertexId u) const { return verts_[u].degree; }
 
+  /// adj(u)[0, hi(u)): the leading part of neighbors(u).
+  std::span<const VertexId> prefix(VertexId u) const {
+    const VertexRec& r = verts_[u];
+    return {data(r), r.hi};
+  }
+
+  /// Reorders adj(u) in place so the entries for which `in_prefix`
+  /// holds form the prefix. Calls `in_prefix` exactly once per entry, in
+  /// list order, so a caller may fold its own per-neighbour work into
+  /// the pass. Quiescent or u-locked only.
+  template <typename Pred>
+  void repartition(VertexId u, Pred&& in_prefix) {
+    VertexRec& r = verts_[u];
+    VertexId* p = data(r);
+    std::uint32_t hi = 0;
+    for (std::uint32_t i = 0; i < r.degree; ++i)
+      if (in_prefix(p[i])) std::swap(p[hi++], p[i]);
+    r.hi = hi;
+  }
+
   /// Scans the smaller-degree endpoint, so hub vertices cost O(min deg)
   /// on the locked insert path.
   bool has_edge(VertexId u, VertexId v) const;
@@ -118,13 +146,18 @@ class DynamicGraph {
   /// Inserts (u,v); returns false for self-loops and existing edges.
   bool insert_edge(VertexId u, VertexId v);
 
-  /// Removes (u,v); returns false if absent. Order within the adjacency
-  /// arrays is not preserved (swap-erase).
+  /// Removes (u,v); returns false if absent. Partition-preserving
+  /// erase: each list keeps its prefix/rest split, but order within
+  /// either part is not preserved.
   bool remove_edge(VertexId u, VertexId v);
 
   /// Insert without the existence check — caller has already verified
   /// absence (used under vertex locks where has_edge was just called).
-  void insert_edge_unchecked(VertexId u, VertexId v);
+  /// v joins u's prefix when `v_in_prefix_of_u`, and u joins v's when
+  /// `u_in_prefix_of_v`; otherwise each lands after its list's prefix.
+  void insert_edge_unchecked(VertexId u, VertexId v,
+                             bool v_in_prefix_of_u = false,
+                             bool u_in_prefix_of_v = false);
 
   /// Pre-sizes u's adjacency for at least `capacity` entries (rounded to
   /// inline or the next slab class). Quiescent or u-locked only; used by
@@ -153,8 +186,11 @@ class DynamicGraph {
  private:
   struct VertexRec {
     std::uint32_t degree = 0;
-    std::uint32_t capacity = kInlineDegree;
+    std::uint32_t hi = 0;      // prefix length, <= degree
     VertexId* slab = nullptr;  // nullptr → adjacency in inline_storage
+    // The inline adjacency while slab is null. Once the list spills,
+    // inline_storage[0] holds the slab's capacity instead, which keeps
+    // the record at 32 bytes with the prefix length in it.
     VertexId inline_storage[kInlineDegree];
   };
   static_assert(sizeof(VertexRec) == 32, "two vertex headers per cache line");
@@ -165,8 +201,11 @@ class DynamicGraph {
   static const VertexId* data(const VertexRec& r) {
     return r.slab != nullptr ? r.slab : r.inline_storage;
   }
+  static std::uint32_t capacity(const VertexRec& r) {
+    return r.slab != nullptr ? r.inline_storage[0] : kInlineDegree;
+  }
 
-  void append(VertexId u, VertexId v);
+  void append(VertexId u, VertexId v, bool in_prefix);
   bool erase_from(VertexId u, VertexId x);
   void grow(VertexId u, std::size_t min_capacity);
   void assign_compact_from(const DynamicGraph& other);

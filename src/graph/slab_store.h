@@ -4,7 +4,7 @@
 // "slabs" (size classes 8, 16, 32, ... VertexId entries). Freed slabs
 // are recycled through per-shard, per-class intrusive free lists, so a
 // steady-state update stream allocates no new memory at all: an edge
-// removal's swap-erase never frees, and an insert that grows a vertex
+// removal's in-place erase never frees, and an insert that grows a vertex
 // returns the old slab to the free list the next grower pops from.
 //
 // Concurrency: allocate/deallocate are thread-safe behind one spinlock

@@ -51,7 +51,7 @@ std::size_t LevelDirectory::compact_all() {
 
 void CoreState::allocate(std::size_t n) {
   n_ = n;
-  core_ = std::make_unique<std::atomic<CoreValue>[]>(n_);
+  core_ = std::make_unique<CoreAndFloor[]>(n_);
   dout_ = std::make_unique<std::atomic<CoreValue>[]>(n_);
   mcd_ = std::make_unique<std::atomic<CoreValue>[]>(n_);
   t_ = std::make_unique<std::atomic<std::int32_t>[]>(n_);
@@ -61,7 +61,7 @@ void CoreState::allocate(std::size_t n) {
   items_ = std::make_unique<OmItem[]>(n_);
 }
 
-void CoreState::initialize(const DynamicGraph& g, const Options& opts) {
+void CoreState::initialize(DynamicGraph& g, const Options& opts) {
   allocate(g.num_vertices());
 
   Decomposition d = bz_decompose(g);
@@ -76,7 +76,7 @@ void CoreState::initialize(const DynamicGraph& g, const Options& opts) {
     rank[d.peel_order[i]] = i;
 
   for (VertexId v = 0; v < n_; ++v) {
-    core_[v].store(d.core[v], std::memory_order_relaxed);
+    core_[v].core.store(d.core[v], std::memory_order_relaxed);
     t_[v].store(0, std::memory_order_relaxed);
     s_[v].store(0, std::memory_order_relaxed);
     items_[v].vertex = v;
@@ -90,19 +90,23 @@ void CoreState::initialize(const DynamicGraph& g, const Options& opts) {
     list.insert_tail(&items_[v]);
   }
 
-  // d+out(v) = # neighbours peeled after v; mcd(v) per Definition 3.8.
+  // d+out(v) = # neighbours peeled after v; mcd(v) per Definition 3.8;
+  // the same pass partitions adj(v) at floor(v) = core(v) - 1.
   for (VertexId v = 0; v < n_; ++v) {
     CoreValue out = 0, m = 0;
-    for (VertexId u : g.neighbors(v)) {
+    const CoreValue f = d.core[v] - 1;
+    g.repartition(v, [&](VertexId u) {
       if (rank[u] > rank[v]) ++out;
       if (d.core[u] >= d.core[v]) ++m;
-    }
+      return d.core[u] >= f;
+    });
     dout_[v].store(out, std::memory_order_relaxed);
     mcd_[v].store(m, std::memory_order_relaxed);
+    core_[v].floor.store(f, std::memory_order_relaxed);
   }
 }
 
-void CoreState::initialize_parallel(const DynamicGraph& g, ThreadTeam& team,
+void CoreState::initialize_parallel(DynamicGraph& g, ThreadTeam& team,
                                     int workers, const Options& opts) {
   allocate(g.num_vertices());
 
@@ -118,7 +122,7 @@ void CoreState::initialize_parallel(const DynamicGraph& g, ThreadTeam& team,
 
   parallel_for(team, workers, 0, n_, [&](std::size_t i) {
     const auto v = static_cast<VertexId>(i);
-    core_[v].store(d.core[v], std::memory_order_relaxed);
+    core_[v].core.store(d.core[v], std::memory_order_relaxed);
     t_[v].store(0, std::memory_order_relaxed);
     s_[v].store(0, std::memory_order_relaxed);
     items_[v].vertex = v;
@@ -132,21 +136,25 @@ void CoreState::initialize_parallel(const DynamicGraph& g, ThreadTeam& team,
     list.insert_tail(&items_[v]);
   }
 
-  // d+out / mcd are per-vertex reductions over read-only state; the
-  // O(m) pass is the second-largest cold-start cost after the peel.
+  // d+out / mcd / the partition at floor(v) are per-vertex passes that
+  // write only v's own list; the O(m) pass is the second-largest
+  // cold-start cost after the peel.
   parallel_for(team, workers, 0, n_, [&](std::size_t i) {
     const auto v = static_cast<VertexId>(i);
     CoreValue out = 0, m = 0;
-    for (VertexId u : g.neighbors(v)) {
+    const CoreValue f = d.core[v] - 1;
+    g.repartition(v, [&](VertexId u) {
       if (rank[u] > rank[v]) ++out;
       if (d.core[u] >= d.core[v]) ++m;
-    }
+      return d.core[u] >= f;
+    });
     dout_[v].store(out, std::memory_order_relaxed);
     mcd_[v].store(m, std::memory_order_relaxed);
+    core_[v].floor.store(f, std::memory_order_relaxed);
   });
 }
 
-bool CoreState::initialize_from_order(const DynamicGraph& g,
+bool CoreState::initialize_from_order(DynamicGraph& g,
                                       const SavedCoreOrder& saved,
                                       const Options& opts,
                                       std::string* error) {
@@ -164,6 +172,7 @@ bool CoreState::initialize_from_order(const DynamicGraph& g,
   for (VertexId v = 0; v < n_; ++v) {
     t_[v].store(0, std::memory_order_relaxed);
     s_[v].store(0, std::memory_order_relaxed);
+    core_[v].floor.store(kFloorDirty, std::memory_order_relaxed);
     items_[v].vertex = v;
   }
 
@@ -193,7 +202,7 @@ bool CoreState::initialize_from_order(const DynamicGraph& g,
   levels_.configure(opts.om_group_capacity);
   levels_.ensure_capacity(static_cast<std::size_t>(maxk) + 2);
   for (VertexId v : saved.order) {
-    core_[v].store(saved.core[v], std::memory_order_relaxed);
+    core_[v].core.store(saved.core[v], std::memory_order_relaxed);
     levels_.get_or_create(saved.core[v]).insert_tail(&items_[v]);
   }
 
@@ -204,10 +213,12 @@ bool CoreState::initialize_from_order(const DynamicGraph& g,
   // (though CRC-clean) does not describe this graph.
   for (VertexId v = 0; v < n_; ++v) {
     CoreValue out = 0, m = 0;
-    for (VertexId u : g.neighbors(v)) {
+    const CoreValue f = saved.core[v] - 1;
+    g.repartition(v, [&](VertexId u) {
       if (rank[u] > rank[v]) ++out;
       if (saved.core[u] >= saved.core[v]) ++m;
-    }
+      return saved.core[u] >= f;
+    });
     if (out > saved.core[v])
       return fail("vertex " + std::to_string(v) + " violates the k-order " +
                   "bound (dout " + std::to_string(out) + " > core " +
@@ -218,6 +229,7 @@ bool CoreState::initialize_from_order(const DynamicGraph& g,
                   std::to_string(saved.core[v]));
     dout_[v].store(out, std::memory_order_relaxed);
     mcd_[v].store(m, std::memory_order_relaxed);
+    core_[v].floor.store(f, std::memory_order_relaxed);
   }
   return true;
 }
@@ -245,13 +257,13 @@ void CoreState::raise_max_core(CoreValue k) {
 std::vector<CoreValue> CoreState::cores_snapshot() const {
   std::vector<CoreValue> out(n_);
   for (VertexId v = 0; v < n_; ++v)
-    out[v] = core_[v].load(std::memory_order_relaxed);
+    out[v] = core_[v].core.load(std::memory_order_relaxed);
   return out;
 }
 
 bool CoreState::precedes_stable(VertexId a, VertexId b) const {
-  const CoreValue ca = core_[a].load(std::memory_order_acquire);
-  const CoreValue cb = core_[b].load(std::memory_order_acquire);
+  const CoreValue ca = core_[a].core.load(std::memory_order_acquire);
+  const CoreValue cb = core_[b].core.load(std::memory_order_acquire);
   if (ca != cb) return ca < cb;
   return OrderList::precedes(&items_[a], &items_[b]);
 }
@@ -266,8 +278,8 @@ bool CoreState::precedes_guarded(VertexId a, VertexId b) const {
       if ((sa & 1u) == 0 && (sb & 1u) == 0) break;
       backoff.pause();
     }
-    const CoreValue ca = core_[a].load(std::memory_order_acquire);
-    const CoreValue cb = core_[b].load(std::memory_order_acquire);
+    const CoreValue ca = core_[a].core.load(std::memory_order_acquire);
+    const CoreValue cb = core_[b].core.load(std::memory_order_acquire);
     const bool r =
         ca != cb ? ca < cb : OrderList::precedes(&items_[a], &items_[b]);
     if (s_[a].load(std::memory_order_acquire) == sa &&
@@ -284,10 +296,10 @@ CoreValue CoreState::compute_dout(const DynamicGraph& g, VertexId v) const {
 }
 
 CoreValue CoreState::compute_mcd(const DynamicGraph& g, VertexId v) const {
-  const CoreValue cv = core_[v].load(std::memory_order_relaxed);
+  const CoreValue cv = core_[v].core.load(std::memory_order_relaxed);
   CoreValue m = 0;
   for (VertexId u : g.neighbors(v))
-    if (core_[u].load(std::memory_order_relaxed) >= cv) ++m;
+    if (core_[u].core.load(std::memory_order_relaxed) >= cv) ++m;
   return m;
 }
 
@@ -320,10 +332,10 @@ bool CoreState::check_invariants(const DynamicGraph& g, std::string* error,
     for (VertexId v : list->to_vector()) {
       if (seen[v]) return fail("vertex appears in two order lists");
       seen[v] = true;
-      if (core_[v].load(std::memory_order_relaxed) != k) {
+      if (core_[v].core.load(std::memory_order_relaxed) != k) {
         std::ostringstream os;
         os << "vertex " << v << " in O_" << k << " but core is "
-           << core_[v].load(std::memory_order_relaxed);
+           << core_[v].core.load(std::memory_order_relaxed);
         return fail(os.str());
       }
       rank[v] = position++;
@@ -333,7 +345,7 @@ bool CoreState::check_invariants(const DynamicGraph& g, std::string* error,
     if (!seen[v]) {
       std::ostringstream os;
       os << "vertex " << v << " missing from all order lists (core "
-         << core_[v].load(std::memory_order_relaxed) << ", max level "
+         << core_[v].core.load(std::memory_order_relaxed) << ", max level "
          << maxk << ")";
       return fail(os.str());
     }
@@ -375,6 +387,28 @@ bool CoreState::check_invariants(const DynamicGraph& g, std::string* error,
     std::string core_err;
     if (!verify_cores(g, cores, &core_err))
       return fail("core numbers: " + core_err);
+  }
+  return true;
+}
+
+bool CoreState::check_prefix(const DynamicGraph& g, std::string* error) const {
+  for (VertexId v = 0; v < n_; ++v) {
+    const CoreValue f = core_[v].floor.load(std::memory_order_relaxed);
+    if (f == kFloorDirty) continue;
+    const auto adj = g.neighbors(v);
+    for (std::size_t i = g.prefix(v).size(); i < adj.size(); ++i) {
+      const CoreValue c = core_[adj[i]].core.load(std::memory_order_relaxed);
+      if (c < f) continue;
+      if (error) {
+        std::ostringstream os;
+        os << "vertex " << v << " (core "
+           << core_[v].core.load(std::memory_order_relaxed) << ", floor " << f
+           << "): neighbour " << adj[i] << " with core " << c
+           << " lies outside the prefix";
+        *error = os.str();
+      }
+      return false;
+    }
   }
   return true;
 }

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,6 +76,9 @@ struct SavedCoreOrder {
   std::vector<VertexId> order;
 };
 
+/// floor(v) that makes v's next scan repartition: above every core.
+inline constexpr CoreValue kFloorDirty = std::numeric_limits<CoreValue>::max();
+
 /// SoA vertex state. All cross-thread fields are atomics; `din` is only
 /// touched by the lock holder of its vertex.
 class CoreState {
@@ -83,8 +87,11 @@ class CoreState {
     std::uint32_t om_group_capacity = 64;
   };
 
-  void initialize(const DynamicGraph& g, const Options& opts);
-  void initialize(const DynamicGraph& g) { initialize(g, Options()); }
+  /// Every initializer also partitions each adjacency list in its
+  /// dout/mcd pass: the prefix of adj(v) gets the neighbours with core
+  /// >= floor(v) = core(v) - 1 (DESIGN.md §3.1), so `g` is reordered.
+  void initialize(DynamicGraph& g, const Options& opts);
+  void initialize(DynamicGraph& g) { initialize(g, Options()); }
 
   /// initialize(), but the cold-start decomposition runs multi-threaded
   /// (decomp/parallel_peel.h, exact mode) and the dout/mcd rebuild is
@@ -93,8 +100,8 @@ class CoreState {
   /// resulting state passes the same invariant suite as the BZ path —
   /// it is just a different (deterministic) k-order pick. `workers` is
   /// clamped to the team.
-  void initialize_parallel(const DynamicGraph& g, ThreadTeam& team,
-                           int workers, const Options& opts);
+  void initialize_parallel(DynamicGraph& g, ThreadTeam& team, int workers,
+                           const Options& opts);
 
   /// Rebuilds the full state from a saved (core, k-order) pair instead
   /// of running bz_decompose: O_k lists are filled by appending in the
@@ -106,7 +113,7 @@ class CoreState {
   /// Whether the saved cores are CORRECT for `g` is not (and cannot
   /// cheaply be) checked here — recovery differentially verifies
   /// against bz_decompose instead.
-  bool initialize_from_order(const DynamicGraph& g, const SavedCoreOrder& saved,
+  bool initialize_from_order(DynamicGraph& g, const SavedCoreOrder& saved,
                              const Options& opts, std::string* error);
 
   /// The serializable image of the current state (quiescent only).
@@ -115,12 +122,21 @@ class CoreState {
   std::size_t size() const { return n_; }
 
   // Per-vertex fields -----------------------------------------------------
-  std::atomic<CoreValue>& core(VertexId v) { return core_[v]; }
-  const std::atomic<CoreValue>& core(VertexId v) const { return core_[v]; }
+  std::atomic<CoreValue>& core(VertexId v) { return core_[v].core; }
+  const std::atomic<CoreValue>& core(VertexId v) const {
+    return core_[v].core;
+  }
   std::atomic<CoreValue>& dout(VertexId v) { return dout_[v]; }
   std::atomic<CoreValue>& mcd(VertexId v) { return mcd_[v]; }
   std::atomic<std::int32_t>& t(VertexId v) { return t_[v]; }
   std::atomic<std::uint32_t>& s(VertexId v) { return s_[v]; }
+  /// The prefix of adj(v) holds every neighbour whose core is >=
+  /// floor(v), unless floor(v) is kFloorDirty (DESIGN.md §3.1). Kept by
+  /// ParallelOrderMaintainer only.
+  std::atomic<CoreValue>& floor(VertexId v) { return core_[v].floor; }
+  const std::atomic<CoreValue>& floor(VertexId v) const {
+    return core_[v].floor;
+  }
   CoreValue& din(VertexId v) { return din_[v]; }
   Spinlock& lock(VertexId v) { return locks_[v]; }
   OmItem& item(VertexId v) { return items_[v]; }
@@ -160,11 +176,22 @@ class CoreState {
   bool check_invariants(const DynamicGraph& g, std::string* error = nullptr,
                         bool check_cores = false) const;
 
+  /// The prefix invariant behind floor(v): every neighbour of v with
+  /// core >= floor(v) lies in adj(v)'s prefix, unless floor(v) is
+  /// kFloorDirty. Quiescent only.
+  bool check_prefix(const DynamicGraph& g, std::string* error = nullptr) const;
+
  private:
   void allocate(std::size_t n);
 
   std::size_t n_ = 0;
-  std::unique_ptr<std::atomic<CoreValue>[]> core_;
+  // floor(v) shares core(v)'s cache line: every reader of a floor has
+  // just read or is about to read the same vertex's core.
+  struct CoreAndFloor {
+    std::atomic<CoreValue> core;
+    std::atomic<CoreValue> floor;
+  };
+  std::unique_ptr<CoreAndFloor[]> core_;
   std::unique_ptr<std::atomic<CoreValue>[]> dout_;
   std::unique_ptr<std::atomic<CoreValue>[]> mcd_;
   std::unique_ptr<std::atomic<std::int32_t>[]> t_;

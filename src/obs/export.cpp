@@ -114,6 +114,8 @@ std::string trace_json_line(const FlushSpan& s) {
   field("worker_busy_us", s.worker_busy_us);
   field("worker_idle_us", s.worker_idle_us);
   field("deferred_edges", s.deferred_edges);
+  field("adjacency_scanned", s.adjacency_scanned);
+  field("adjacency_repartitions", s.adjacency_repartitions);
   out += '}';
   return out;
 }

@@ -49,10 +49,15 @@ struct FlushSpan {
   // workers * dispatch wall - busy (waiting on the team, straggler
   // tails). deferred_edges counts the batch edges a worker set aside
   // because an endpoint was locked by another (endpoint contention).
+  // adjacency_scanned counts the adjacency entries the maintainer's
+  // scans read and adjacency_repartitions the scans that repartitioned
+  // their list first (DESIGN.md §3.1).
   std::uint32_t workers = 0;
   std::uint64_t worker_busy_us = 0;
   std::uint64_t worker_idle_us = 0;
   std::uint64_t deferred_edges = 0;
+  std::uint64_t adjacency_scanned = 0;
+  std::uint64_t adjacency_repartitions = 0;
 };
 
 /// Fixed-capacity ring of the most recent flush spans.

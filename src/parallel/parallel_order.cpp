@@ -129,10 +129,42 @@ BatchResult ParallelOrderMaintainer::run_batch(std::span<const Edge> edges,
   last_timing_.busy_us = busy_us.load(std::memory_order_relaxed);
   last_timing_.deferred = deferred.load(std::memory_order_relaxed);
   last_timing_.workers = std::max(1, std::min(workers, team_.max_workers()));
+  fold_scan_counts();
   r.applied = applied.load(std::memory_order_relaxed);
   r.skipped = edges.size() - r.applied;
   collect_changed();
   return r;
+}
+
+void ParallelOrderMaintainer::fold_scan_counts() {
+  for (auto& ctx : ctxs_) {
+    last_timing_.scanned += ctx.scanned;
+    last_timing_.repartitions += ctx.repartitions;
+    ctx.scanned = 0;
+    ctx.repartitions = 0;
+  }
+}
+
+std::span<const VertexId> ParallelOrderMaintainer::scan_list(WorkerCtx& ctx,
+                                                             VertexId v,
+                                                             CoreValue t) {
+  if (t < state_.floor(v).load(std::memory_order_relaxed)) {
+    // The new floor is published before any neighbour's core is read:
+    // the fence pairs with finalize_insert's, so a promotion this pass
+    // reads as the old core finds the new floor and marks v dirty.
+    const CoreValue f =
+        std::min(t, state_.core(v).load(std::memory_order_relaxed) - 1);
+    state_.floor(v).store(f, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    graph_.repartition(v, [&](VertexId x) {
+      return state_.core(x).load(std::memory_order_relaxed) >= f;
+    });
+    ++ctx.repartitions;
+    ctx.scanned += graph_.degree(v);
+  }
+  const std::span<const VertexId> list = graph_.prefix(v);
+  ctx.scanned += list.size();
+  return list;
 }
 
 void ParallelOrderMaintainer::collect_changed() {
@@ -183,7 +215,14 @@ ParallelOrderMaintainer::EdgeOutcome ParallelOrderMaintainer::insert_one(
   const CoreValue k = state_.core(u).load(std::memory_order_relaxed);
   const CoreValue cv = state_.core(v).load(std::memory_order_relaxed);
 
-  graph_.insert_edge_unchecked(u, v);
+  // Both cores are stable under the endpoint locks, so each entry can
+  // land on its side of the other endpoint's floor right away. A peer
+  // within one level below the endpoint's core goes in without loading
+  // the floor: the prefix may hold more than it must.
+  graph_.insert_edge_unchecked(
+      u, v,
+      cv >= k - 1 || cv >= state_.floor(u).load(std::memory_order_relaxed),
+      k >= cv - 1 || k >= state_.floor(v).load(std::memory_order_relaxed));
   state_.dout(u).fetch_add(1, std::memory_order_relaxed);
   if (cv >= k) state_.mcd_increment_unless_empty(u);
   if (k >= cv) state_.mcd_increment_unless_empty(v);
@@ -235,7 +274,7 @@ void ParallelOrderMaintainer::insert_forward(WorkerCtx& ctx, VertexId w,
                                              CoreValue k) {
   ++ctx.vplus_count;
   ctx.vstar.insert(w);
-  for (VertexId x : graph_.neighbors(w)) {
+  for (VertexId x : scan_list(ctx, w, k)) {
     if (state_.core(x).load(std::memory_order_acquire) != k) continue;
     if (ctx.vstar.contains(x)) continue;
     if (!state_.precedes_guarded(w, x)) continue;  // successors only
@@ -247,7 +286,7 @@ void ParallelOrderMaintainer::adjust_candidates(WorkerCtx& ctx, VertexId y,
                                                 CoreValue k, bool origin) {
   // DoPre + DoPost in one scan: V* neighbours of y are all locked by
   // this worker, so their relative order to y is stable.
-  for (VertexId x : graph_.neighbors(y)) {
+  for (VertexId x : scan_list(ctx, y, k)) {
     if (!ctx.vstar.contains(x)) {
       // DoPost for a still-queued candidate: y's Forward counted it.
       // The Backward origin was never in V* and counted nobody.
@@ -321,11 +360,20 @@ void ParallelOrderMaintainer::finalize_insert(WorkerCtx& ctx, CoreValue k,
       ctx.changed.push_back(c);
 
       // mcd: the promoted vertex's own value is stale; neighbours now at
-      // the promoted level gain one >=-core neighbour.
+      // the promoted level gain one >=-core neighbour. A neighbour whose
+      // floor is k+1 now needs c in its prefix, so it is marked dirty;
+      // the fence pairs with scan_list's (DESIGN.md §3.1).
       state_.mcd(c).store(kMcdEmpty, std::memory_order_relaxed);
-      for (VertexId x : graph_.neighbors(c))
-        if (state_.core(x).load(std::memory_order_acquire) == k + 1)
-          state_.mcd_increment_unless_empty(x);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      for (VertexId x : scan_list(ctx, c, k)) {
+        const CoreValue cx = state_.core(x).load(std::memory_order_acquire);
+        if (cx <= k) continue;
+        if (cx == k + 1) state_.mcd_increment_unless_empty(x);
+        CoreValue f = k + 1;
+        if (state_.floor(x).load(std::memory_order_relaxed) == f)
+          state_.floor(x).compare_exchange_strong(f, kFloorDirty,
+                                                  std::memory_order_relaxed);
+      }
     });
     state_.raise_max_core(k + 1);
   }
@@ -372,8 +420,8 @@ ParallelOrderMaintainer::EdgeOutcome ParallelOrderMaintainer::remove_one(
 
   // CheckMCD before the edge disappears so lazily recomputed values
   // still count the peer (Alg. 8 line 3).
-  check_mcd(u, kInvalidVertex);
-  check_mcd(v, kInvalidVertex);
+  check_mcd(ctx, u, kInvalidVertex);
+  check_mcd(ctx, v, kInvalidVertex);
 
   // dout of the k-order-lower endpoint drops with the edge.
   if (state_.precedes_stable(u, v))
@@ -407,14 +455,15 @@ ParallelOrderMaintainer::EdgeOutcome ParallelOrderMaintainer::remove_one(
     ctx.ap.clear();
     for (;;) {
       state_.t(w).fetch_sub(1, std::memory_order_acq_rel);  // 2 -> 1
-      for (VertexId x : graph_.neighbors(w)) {
-        if (ctx.ap.contains(x)) continue;
+      // w's core is now k-1; the level it left is the one to scan.
+      for (VertexId x : scan_list(ctx, w, k)) {
         if (state_.core(x).load(std::memory_order_acquire) != k) continue;
+        if (ctx.ap.contains(x)) continue;
         if (!lock_if(state_.lock(x), [&] {
               return state_.core(x).load(std::memory_order_acquire) == k;
             }))
           continue;  // x was demoted concurrently; skip, no busy wait
-        check_mcd(x, w);
+        check_mcd(ctx, x, w);
         state_.mcd(x).fetch_sub(1, std::memory_order_relaxed);
         const bool kept = demote_if_unsupported(ctx, x, k);
         if (!kept) state_.lock(x).unlock();
@@ -466,13 +515,14 @@ bool ParallelOrderMaintainer::demote_if_unsupported(WorkerCtx& ctx, VertexId x,
   return true;
 }
 
-void ParallelOrderMaintainer::check_mcd(VertexId x, VertexId propagating_from) {
+void ParallelOrderMaintainer::check_mcd(WorkerCtx& ctx, VertexId x,
+                                        VertexId propagating_from) {
   // Algorithm 8 CheckMCD: recompute mcd(x) lock-free over x's neighbours.
   // x itself is locked by this worker, so core(x) and adj(x) are stable.
   if (state_.mcd(x).load(std::memory_order_relaxed) != kMcdEmpty) return;
   const CoreValue cx = state_.core(x).load(std::memory_order_relaxed);
   CoreValue m = 0;
-  for (VertexId y : graph_.neighbors(x)) {
+  for (VertexId y : scan_list(ctx, x, cx - 1)) {
     const auto [cy, ty] = demotion_snapshot(state_, y);
     if (cy >= cx) {
       ++m;
@@ -515,11 +565,27 @@ void ParallelOrderMaintainer::repair_dout_after_removal(int workers) {
     ctx.touched.clear();
   }
   if (repair_unique_.empty()) return;
-  parallel_for(team_, workers, 0, repair_unique_.size(), [&](std::size_t i) {
-    const VertexId v = repair_unique_[i];
-    state_.dout(v).store(state_.compute_dout(graph_, v),
-                         std::memory_order_relaxed);
+  // parallel_for's chunked claim, but with the worker's ctx for the scan
+  // counts. Each v's list is written only by its own repartition.
+  constexpr std::size_t kGrain = 256;
+  std::atomic<std::size_t> next{0};
+  team_.run(workers, [&](int w) {
+    WorkerCtx& ctx = ctxs_[static_cast<std::size_t>(w)];
+    for (;;) {
+      const std::size_t lo = next.fetch_add(kGrain, std::memory_order_relaxed);
+      if (lo >= repair_unique_.size()) return;
+      const std::size_t hi = std::min(repair_unique_.size(), lo + kGrain);
+      for (std::size_t i = lo; i < hi; ++i) {
+        const VertexId v = repair_unique_[i];
+        CoreValue out = 0;
+        for (VertexId u :
+             scan_list(ctx, v, state_.core(v).load(std::memory_order_relaxed)))
+          if (state_.precedes_stable(v, u)) ++out;
+        state_.dout(v).store(out, std::memory_order_relaxed);
+      }
+    }
   });
+  fold_scan_counts();
 }
 
 // ===========================================================================
@@ -540,10 +606,10 @@ bool ParallelOrderMaintainer::remove_edge(VertexId u, VertexId v) {
 
 std::size_t ParallelOrderMaintainer::detach_vertex(VertexId v, int workers) {
   if (v >= graph_.num_vertices()) return 0;
-  // Materialise the adjacency before mutating: remove_batch swap-erases
-  // v's list, which invalidates the span (same rule as the old vector
-  // layout; slab relocation adds no new hazard because removals never
-  // relocate).
+  // Materialise the adjacency before mutating: remove_batch's
+  // partition-preserving erase reorders v's list and shrinks it, which
+  // invalidates the span (same rule as the old vector layout; slab
+  // relocation adds no new hazard because removals never relocate).
   const auto nbrs = graph_.neighbors(v);
   std::vector<Edge> edges;
   edges.reserve(nbrs.size());

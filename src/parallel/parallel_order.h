@@ -119,10 +119,16 @@ class ParallelOrderMaintainer {
   /// `deferred` counts the edges whose endpoints were locked when
   /// first claimed and which were applied in the worker's blocking
   /// drain instead (DESIGN.md §9) — the batch's endpoint contention.
+  /// `scanned` counts the adjacency entries the batch's scans read,
+  /// removal dout repair and repartition passes included, and
+  /// `repartitions` the scans that had to repartition their list first
+  /// (DESIGN.md §3.1).
   struct BatchTiming {
     std::uint64_t dispatch_us = 0;
     std::uint64_t busy_us = 0;
     std::uint64_t deferred = 0;
+    std::uint64_t scanned = 0;
+    std::uint64_t repartitions = 0;
     int workers = 0;
   };
   const BatchTiming& last_timing() const { return last_timing_; }
@@ -150,6 +156,8 @@ class ParallelOrderMaintainer {
     std::vector<VertexId> changed;  // cores promoted/demoted this batch
     std::vector<Edge> deferred;     // claimed with an endpoint locked
     std::size_t vplus_count = 0;
+    std::uint64_t scanned = 0;       // folded into BatchTiming
+    std::uint64_t repartitions = 0;  // at batch end
     SizeHistogram vplus_hist;
     SizeHistogram vstar_hist;
     SizeHistogram remove_vstar_hist;
@@ -180,8 +188,15 @@ class ParallelOrderMaintainer {
 
   EdgeOutcome remove_one(WorkerCtx& ctx, Edge e, bool may_defer)
       PARCORE_NO_THREAD_SAFETY_ANALYSIS;
-  void check_mcd(VertexId x, VertexId propagating_from);
+  void check_mcd(WorkerCtx& ctx, VertexId x, VertexId propagating_from);
   bool demote_if_unsupported(WorkerCtx& ctx, VertexId x, CoreValue k);
+
+  /// The part of adj(v) holding every neighbour with core >= t: v's
+  /// prefix, repartitioned first when t is below floor(v) (DESIGN.md
+  /// §3.1). The caller holds v's lock, or the maintainer is quiescent.
+  std::span<const VertexId> scan_list(WorkerCtx& ctx, VertexId v,
+                                      CoreValue t);
+  void fold_scan_counts();
 
   void repair_dout_after_removal(int workers);
   void collect_changed();

@@ -29,8 +29,8 @@ using test::Family;
 // permutation shape, non-decreasing cores along the order, dout <= core
 // and mcd >= core — the properties that make an order a k-order
 // instance — then runs the full invariant suite including core
-// correctness.
-void expect_valid_korder(const DynamicGraph& g, const BulkDecomposition& d,
+// correctness. The restore path partitions g's adjacency lists in place.
+void expect_valid_korder(DynamicGraph& g, const BulkDecomposition& d,
                          const std::string& context) {
   SavedCoreOrder saved;
   saved.core = d.core;

@@ -741,10 +741,21 @@ TEST(EngineMetrics, TwoEnginesExportTheirOwnStats) {
               s.deferred_edges);
     EXPECT_EQ(gauge_row(rows, "parcore_flush_threshold"),
               static_cast<std::int64_t>(eng->current_flush_threshold()));
-    std::uint64_t deferred = 0;
-    for (const obs::FlushSpan& span : eng->trace().snapshot())
+    EXPECT_EQ(counter_row(rows, "parcore_adjacency_entries_scanned_total"),
+              s.adjacency_entries_scanned);
+    EXPECT_EQ(counter_row(rows, "parcore_adjacency_repartitions_total"),
+              s.adjacency_repartitions);
+    // b's removals always scan: their dout repair reads both endpoints.
+    if (eng == &b) EXPECT_GT(s.adjacency_entries_scanned, 0u);
+    std::uint64_t deferred = 0, scanned = 0, repartitions = 0;
+    for (const obs::FlushSpan& span : eng->trace().snapshot()) {
       deferred += span.deferred_edges;
+      scanned += span.adjacency_scanned;
+      repartitions += span.adjacency_repartitions;
+    }
     EXPECT_EQ(s.deferred_edges, deferred);
+    EXPECT_EQ(s.adjacency_entries_scanned, scanned);
+    EXPECT_EQ(s.adjacency_repartitions, repartitions);
     if (const obs::Histogram* h =
             histogram_row(rows, "parcore_flush_us"))
       EXPECT_EQ(h->count, s.epochs);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
+#include <vector>
 
 #include "graph/dynamic_graph.h"
 #include "graph/edge_list.h"
@@ -79,6 +81,110 @@ TEST(DynamicGraph, AddVerticesGrows) {
   EXPECT_TRUE(g.insert_edge(3, 4));
   g.add_vertices(3);  // shrink request ignored
   EXPECT_EQ(g.num_vertices(), 5u);
+}
+
+// The prefix/rest split of each adjacency list (DESIGN.md §3.1): the
+// graph keeps it through appends, erases, growth, copies and moves.
+std::vector<VertexId> sorted(std::span<const VertexId> s) {
+  std::vector<VertexId> v(s.begin(), s.end());
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+std::vector<VertexId> evens_of(std::span<const VertexId> s) {
+  std::vector<VertexId> v;
+  for (VertexId x : s)
+    if (x % 2 == 0) v.push_back(x);
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+bool even(VertexId x) { return x % 2 == 0; }
+
+// A hub 0 joined to 1..n-1, partitioned so the even neighbours form
+// its prefix.
+DynamicGraph even_prefix_hub(std::size_t n) {
+  std::vector<Edge> edges;
+  for (VertexId v = 1; v < n; ++v) edges.push_back(Edge{0, v});
+  auto g = DynamicGraph::from_edges(n, edges);
+  EXPECT_EQ(g.prefix(0).size(), 0u);  // a fresh graph has empty prefixes
+  g.repartition(0, even);
+  return g;
+}
+
+TEST(DynamicGraph, RepartitionMovesKeptEntriesToThePrefix) {
+  auto g = even_prefix_hub(40);
+  EXPECT_EQ(sorted(g.prefix(0)), evens_of(g.neighbors(0)));
+  EXPECT_EQ(g.prefix(0).size(), 19u);  // 2, 4, ..., 38
+  // Each entry is offered exactly once, in list order.
+  std::vector<VertexId> offered;
+  const std::vector<VertexId> before(g.neighbors(0).begin(),
+                                     g.neighbors(0).end());
+  g.repartition(0, [&](VertexId x) {
+    offered.push_back(x);
+    return even(x);
+  });
+  EXPECT_EQ(offered, before);
+}
+
+TEST(DynamicGraph, AppendIntoThePrefix) {
+  // Hub 0 spills into a slab and regrows several times; an inline
+  // vertex (degree <= 4) gets the same treatment.
+  DynamicGraph g(80);
+  for (VertexId v = 1; v < 80; ++v) {
+    g.insert_edge_unchecked(0, v, /*v_in_prefix_of_u=*/even(v),
+                            /*u_in_prefix_of_v=*/v % 3 == 0);
+    ASSERT_EQ(sorted(g.prefix(0)), evens_of(g.neighbors(0))) << "after " << v;
+    EXPECT_EQ(g.prefix(v).size(), v % 3 == 0 ? 1u : 0u);
+  }
+  EXPECT_EQ(g.degree(0), 79u);
+  EXPECT_EQ(g.num_edges(), 79u);
+  // The plain insert never joins a prefix.
+  DynamicGraph h(3);
+  ASSERT_TRUE(h.insert_edge(0, 1));
+  EXPECT_EQ(h.prefix(0).size(), 0u);
+  EXPECT_EQ(h.prefix(1).size(), 0u);
+}
+
+TEST(DynamicGraph, RemoveEdgeKeepsThePartition) {
+  auto g = even_prefix_hub(60);
+  Rng rng(5);
+  std::vector<VertexId> left;
+  for (VertexId v = 1; v < 60; ++v) left.push_back(v);
+  rng.shuffle(left);
+  // Erase from both parts, down past the inline threshold to empty.
+  for (VertexId v : left) {
+    ASSERT_TRUE(g.remove_edge(0, v));
+    EXPECT_FALSE(g.has_edge(0, v));
+    ASSERT_EQ(sorted(g.prefix(0)), evens_of(g.neighbors(0)))
+        << "after erasing " << v;
+  }
+  EXPECT_EQ(g.degree(0), 0u);
+  EXPECT_EQ(g.prefix(0).size(), 0u);
+  EXPECT_EQ(g.num_edges(), 0u);
+}
+
+TEST(DynamicGraph, CopyAndMoveKeepThePrefix) {
+  const auto g = even_prefix_hub(50);
+  const std::vector<VertexId> list(g.neighbors(0).begin(),
+                                   g.neighbors(0).end());
+  const std::size_t hi = g.prefix(0).size();
+  auto same = [&](const DynamicGraph& c) {
+    EXPECT_EQ(std::vector<VertexId>(c.neighbors(0).begin(),
+                                    c.neighbors(0).end()),
+              list);
+    EXPECT_EQ(c.prefix(0).size(), hi);
+  };
+  DynamicGraph copy(g);
+  same(copy);
+  DynamicGraph assigned(3);
+  assigned = g;
+  same(assigned);
+  DynamicGraph moved(std::move(copy));
+  same(moved);
+  DynamicGraph move_assigned(2);
+  move_assigned = std::move(assigned);
+  same(move_assigned);
 }
 
 TEST(EdgeList, CanonicalizeDropsBadEdges) {

@@ -179,13 +179,16 @@ TEST(ObsExportPlain, TraceJsonLineGolden) {
   s.worker_busy_us = 120;
   s.worker_idle_us = 40;
   s.deferred_edges = 6;
+  s.adjacency_scanned = 900;
+  s.adjacency_repartitions = 11;
   EXPECT_EQ(trace_json_line(s),
             "{\"epoch\":7,\"raw\":100,\"inserts\":60,\"removes\":30,"
             "\"pages_cloned\":5,\"repair_us\":3,\"drain_us\":10,"
             "\"coalesce_us\":20,\"wal_us\":5,\"apply_us\":40,"
             "\"om_compact_us\":50,\"publish_us\":60,\"checkpoint_us\":8,"
             "\"flush_us\":201,\"workers\":4,\"worker_busy_us\":120,"
-            "\"worker_idle_us\":40,\"deferred_edges\":6}");
+            "\"worker_idle_us\":40,\"deferred_edges\":6,"
+            "\"adjacency_scanned\":900,\"adjacency_repartitions\":11}");
 }
 
 TEST(ObsHttpTest, ServeAndFetchRoundTrip) {
