@@ -4,7 +4,7 @@
 //
 //   wal-off      durability disabled (the baseline)
 //   wal-on       WAL + periodic checkpoints, group fsync per flush
-//   wal-nofsync  same, PARCORE_WAL_FSYNC=0 semantics (format-level
+//   wal-nofsync  same, Manager::Options::fsync = false (format-level
 //                crash consistency only)
 //
 // plus a `wal_overhead` cell pair — wal-off vs wal-on on one

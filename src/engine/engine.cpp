@@ -8,7 +8,6 @@
 #include "decomp/core_query.h"
 #include "decomp/parallel_peel.h"
 #include "io/io_error.h"
-#include "support/env.h"
 #include "support/timer.h"
 
 namespace parcore::engine {
@@ -32,8 +31,7 @@ StreamingEngine::StreamingEngine(DynamicGraph& g, ThreadTeam& team,
       threshold_(std::max<std::size_t>(
           1, opts.ingest_cap > 0
                  ? std::min(opts.flush_threshold, opts.ingest_cap)
-                 : opts.flush_threshold)),
-      index_(query::VersionedCoreIndex::Options{opts.snapshot_page}) {
+                 : opts.flush_threshold)) {
   // Epoch 0: the initial decomposition, the index's one full O(n)
   // build. Every later epoch is a COW delta on top of it.
   query::CoreView view = index_.rebuild(
@@ -59,8 +57,7 @@ StreamingEngine::StreamingEngine(DynamicGraph& g, ThreadTeam& team,
     stats_.durability = durability_->totals();
   }
 
-  // Cold-start cost, end to end: initial decomposition (sequential BZ
-  // or the parallel peel, per Options::maintainer.init_workers) through
+  // Cold-start cost, end to end: initial decomposition (BZ) through
   // epoch-0 publish and the initial checkpoint. init_timer_ is declared
   // before maintainer_ precisely so this covers the decomposition.
   stats_.engine_init_us.record(init_timer_.elapsed_us());
@@ -317,10 +314,9 @@ std::uint64_t StreamingEngine::flush_locked() {
 
   const std::uint64_t epoch = ++published_epoch_;
   // Time the COW publish alone: publish_us is the O(|V*| + dirty pages)
-  // claim under measurement, so the optional O(n+m) graph copy inside
-  // build_snapshot must not pollute it. A repair invalidates every
-  // page (the rebuild rewrote all cores), so it publishes via a full
-  // index rebuild instead of the dirty-page delta.
+  // claim under measurement. A repair invalidates every page (the
+  // rebuild rewrote all cores), so it publishes via a full index
+  // rebuild instead of the dirty-page delta.
   WallTimer publish_timer;
   query::CoreView view =
       repaired ? index_.rebuild(graph_.num_vertices(),
@@ -546,14 +542,12 @@ std::shared_ptr<EngineSnapshot> StreamingEngine::build_snapshot(
   snap->view = std::move(view);
   snap->max_core = maintainer_.state().max_core();
   snap->num_edges = graph_.num_edges();
-  // Called at quiescence only (constructor / under flush_mu_ after the
-  // batch), so the copy — a compact arena fill — sees a stable graph.
-  if (opts_.snapshot_graph)
-    snap->graph = std::make_shared<const DynamicGraph>(graph_);
   return snap;
 }
 
 void StreamingEngine::adapt_threshold(double flush_ms, std::size_t raw) {
+  constexpr std::size_t kMinThreshold = 256;
+  constexpr std::size_t kMaxThreshold = std::size_t{1} << 20;
   if (raw == 0 || flush_ms <= 0.0) return;
   // One multiplicative step per flush toward the latency target;
   // damped (sqrt) so a single outlier flush cannot swing the threshold
@@ -565,8 +559,8 @@ void StreamingEngine::adapt_threshold(double flush_ms, std::size_t raw) {
   // overload detector compares the backlog against it.
   const std::size_t cap = opts_.ingest_cap;
   const std::size_t hi =
-      cap > 0 ? std::min(opts_.max_threshold, cap) : opts_.max_threshold;
-  const std::size_t lo = std::min(opts_.min_threshold, hi);
+      cap > 0 ? std::min(kMaxThreshold, cap) : kMaxThreshold;
+  const std::size_t lo = std::min(kMinThreshold, hi);
   const auto cur = threshold_.load(std::memory_order_relaxed);
   const auto next = static_cast<std::size_t>(
       std::clamp(static_cast<double>(cur) * step, static_cast<double>(lo),
@@ -654,86 +648,6 @@ obs::Rows StreamingEngine::metric_rows() const {
       {"parcore_checkpoint_us", d.checkpoint_us},
   };
   return rows;
-}
-
-StreamingEngine::Options options_from_env(StreamingEngine::Options base) {
-  base.flush_threshold = static_cast<std::size_t>(env_int(
-      "PARCORE_ENGINE_FLUSH_THRESHOLD",
-      static_cast<long>(base.flush_threshold)));
-  base.flush_interval_ms =
-      env_double("PARCORE_ENGINE_FLUSH_INTERVAL_MS", base.flush_interval_ms);
-  base.workers = static_cast<int>(
-      env_int("PARCORE_ENGINE_WORKERS", base.workers));
-  // Admission control (docs/ROBUSTNESS.md).
-  base.ingest_cap = static_cast<std::size_t>(std::max(
-      env_int("PARCORE_ENGINE_INGEST_CAP",
-              static_cast<long>(base.ingest_cap)),
-      0L));
-  {
-    const std::string policy = env_str(
-        "PARCORE_ENGINE_OVERLOAD",
-        base.overload == OverloadPolicy::kShed      ? "shed"
-        : base.overload == OverloadPolicy::kDegrade ? "degrade"
-                                                    : "block");
-    if (policy == "shed")
-      base.overload = OverloadPolicy::kShed;
-    else if (policy == "degrade")
-      base.overload = OverloadPolicy::kDegrade;
-    else if (policy == "block")
-      base.overload = OverloadPolicy::kBlock;
-  }
-  if (env_present("PARCORE_ENGINE_ADAPTIVE"))
-    base.adaptive = env_flag("PARCORE_ENGINE_ADAPTIVE");
-  base.target_flush_ms =
-      env_double("PARCORE_ENGINE_TARGET_FLUSH_MS", base.target_flush_ms);
-  base.min_threshold = static_cast<std::size_t>(env_int(
-      "PARCORE_ENGINE_MIN_THRESHOLD", static_cast<long>(base.min_threshold)));
-  base.max_threshold = static_cast<std::size_t>(env_int(
-      "PARCORE_ENGINE_MAX_THRESHOLD", static_cast<long>(base.max_threshold)));
-  base.om_compact_interval = static_cast<std::size_t>(
-      env_int("PARCORE_ENGINE_OM_COMPACT_INTERVAL",
-              static_cast<long>(base.om_compact_interval)));
-  if (env_present("PARCORE_ENGINE_SNAPSHOT_GRAPH"))
-    base.snapshot_graph = env_flag("PARCORE_ENGINE_SNAPSHOT_GRAPH");
-  base.reverify_interval_ms = std::max(
-      env_double("PARCORE_SERVE_REVERIFY_MS", base.reverify_interval_ms),
-      0.0);
-  // Cold start: > 0 runs the initial decomposition through the bulk
-  // parallel peel with this many workers (docs/CONFIG.md).
-  base.maintainer.init_workers = static_cast<int>(std::clamp(
-      env_int("PARCORE_DECOMPOSE_WORKERS",
-              static_cast<long>(base.maintainer.init_workers)),
-      0L, 1024L));
-  // The index clamps to [64, 1M] and rounds up to a power of two.
-  base.snapshot_page = static_cast<std::size_t>(std::max(
-      env_int("PARCORE_ENGINE_SNAPSHOT_PAGE",
-              static_cast<long>(base.snapshot_page)),
-      1L));
-  // Durability knobs (docs/CONFIG.md, docs/DURABILITY.md).
-  base.durability.dir = env_str("PARCORE_WAL_DIR", base.durability.dir);
-  base.durability.checkpoint_interval = static_cast<std::size_t>(std::max(
-      env_int("PARCORE_WAL_CHECKPOINT_INTERVAL",
-              static_cast<long>(base.durability.checkpoint_interval)),
-      0L));
-  if (env_present("PARCORE_WAL_FSYNC"))
-    base.durability.fsync = env_flag("PARCORE_WAL_FSYNC");
-  base.durability.retain = static_cast<std::size_t>(std::max(
-      env_int("PARCORE_WAL_RETAIN",
-              static_cast<long>(base.durability.retain)),
-      1L));
-  // Durable-I/O fault tolerance (docs/ROBUSTNESS.md).
-  base.durability.max_retries = static_cast<int>(std::clamp(
-      env_int("PARCORE_WAL_RETRIES",
-              static_cast<long>(base.durability.max_retries)),
-      0L, 100L));
-  base.durability.retry_backoff_ms = std::max(
-      env_double("PARCORE_WAL_RETRY_BACKOFF_MS",
-                 base.durability.retry_backoff_ms),
-      0.0);
-  base.durability.rearm_interval_ms = std::max(
-      env_double("PARCORE_WAL_REARM_MS", base.durability.rearm_interval_ms),
-      0.0);
-  return base;
 }
 
 }  // namespace parcore::engine

@@ -64,11 +64,6 @@ struct EngineSnapshot {
   query::CoreView view;
   CoreValue max_core = 0;
   std::size_t num_edges = 0;
-  /// Deep copy of the graph at this epoch; null unless
-  /// Options::snapshot_graph is set. The copy compacts into a fresh
-  /// arena (a linear slab fill, not n per-vertex allocations), taken at
-  /// flush quiescence, so readers get a fully consistent structure.
-  std::shared_ptr<const DynamicGraph> graph;
 
   CoreValue core(VertexId v) const { return view.core(v); }
   std::size_t num_vertices() const { return view.size(); }
@@ -201,27 +196,18 @@ class StreamingEngine {
     /// with `overload`. The effective flush threshold is clamped to the
     /// cap so a full buffer always triggers a flush. The cap is a soft
     /// bound: racing producers can overshoot by at most one update
-    /// each. (PARCORE_ENGINE_INGEST_CAP / PARCORE_ENGINE_OVERLOAD.)
+    /// each. (`serve --ingest-cap N --overload POLICY`.)
     std::size_t ingest_cap = 0;
     OverloadPolicy overload = OverloadPolicy::kBlock;
     /// Adaptive batch policy: scale flush_threshold so that a flush
-    /// takes about target_flush_ms, clamped to [min,max]_threshold and,
-    /// when ingest_cap is set, to the cap (which wins over both).
+    /// takes about target_flush_ms, clamped to [256, 2^20] and, when
+    /// ingest_cap is set, to the cap (which wins over both).
     bool adaptive = false;
     double target_flush_ms = 20.0;
-    std::size_t min_threshold = 256;
-    std::size_t max_threshold = 1u << 20;
     /// Every N flushes, reclaim quarantined OM groups at quiescence
     /// (OrderList::compact over all levels). 0 disables compaction —
     /// quarantined groups then leak for the engine's lifetime.
     std::size_t om_compact_interval = 64;
-    /// Publish a deep graph copy with every epoch snapshot (compact
-    /// arena copy; costs one arena fill per flush).
-    bool snapshot_graph = false;
-    /// Cores per copy-on-write snapshot page (rounded to a power of
-    /// two in [64, 1M]). Smaller pages clone fewer bytes per changed
-    /// vertex; larger pages shrink the per-epoch directory copy.
-    std::size_t snapshot_page = 4096;
     /// Invoked under the flush lock with each completed flush's span —
     /// the --trace-out JSONL sink. Keep it cheap; it runs on the
     /// scheduler thread inside the flush window.
@@ -232,7 +218,7 @@ class StreamingEngine {
     /// never contends with flush dispatch) and compares against the
     /// live CoreView of the same epoch, counting runs/mismatches/
     /// timing in EngineStats (exported as parcore_verify_*). 0
-    /// disables it. (`serve --reverify MS` / PARCORE_SERVE_REVERIFY_MS.)
+    /// disables it. (`serve --reverify MS`.)
     double reverify_interval_ms = 0.0;
     /// Durability (docs/DURABILITY.md): a non-empty `durability.dir`
     /// enables epoch checkpointing + the op WAL. The constructor writes
@@ -355,9 +341,9 @@ class StreamingEngine {
   /// checkpoint; success resumes WAL logging.
   void try_rearm_durability(std::uint64_t epoch) PARCORE_REQUIRES(flush_mu_);
   /// Wraps an already-published view into the snapshot for `epoch`,
-  /// adding max core / edge count / the optional graph copy. Does NOT
-  /// swap it in — the caller updates stats first, then swaps, so
-  /// readers never see an epoch whose stats lag it.
+  /// adding max core and edge count. Does NOT swap it in — the caller
+  /// updates stats first, then swaps, so readers never see an epoch
+  /// whose stats lag it.
   std::shared_ptr<EngineSnapshot> build_snapshot(std::uint64_t epoch,
                                                  query::CoreView view)
       PARCORE_REQUIRES(flush_mu_);
@@ -371,8 +357,7 @@ class StreamingEngine {
   Options opts_;
   // Declared before maintainer_ so construction order starts the clock
   // before the initial decomposition — engine_init_us measures the
-  // whole cold start, which is exactly what the parallel init path is
-  // supposed to shrink.
+  // whole cold start.
   WallTimer init_timer_;
   ParallelOrderMaintainer maintainer_;
   IngestQueue queue_;
@@ -437,12 +422,5 @@ class StreamingEngine {
   // The per-flush span ring (obs/trace.h).
   obs::FlushTrace trace_;
 };
-
-/// `base` with every flush-policy knob overridable from the environment
-/// (PARCORE_ENGINE_* variables; full table in docs/CONFIG.md). Used by
-/// parcore_cli and the examples so deployments tune the engine without
-/// a rebuild.
-StreamingEngine::Options options_from_env(
-    StreamingEngine::Options base = StreamingEngine::Options());
 
 }  // namespace parcore::engine

@@ -51,11 +51,9 @@ ParallelOrderMaintainer::ParallelOrderMaintainer(DynamicGraph& g,
   rebuild();
 }
 
-void ParallelOrderMaintainer::rebuild() { rebuild(opts_.init_workers); }
-
-void ParallelOrderMaintainer::rebuild(int init_workers) {
-  if (init_workers > 0)
-    state_.initialize_parallel(graph_, team_, init_workers, opts_.state);
+void ParallelOrderMaintainer::rebuild(int workers) {
+  if (workers > 0)
+    state_.initialize_parallel(graph_, team_, workers, opts_.state);
   else
     state_.initialize(graph_, opts_.state);
   mark_.assign(graph_.num_vertices(), 0);

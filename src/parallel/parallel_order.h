@@ -54,12 +54,6 @@ class ParallelOrderMaintainer {
     /// pointer is not retained); the image must match the graph or the
     /// constructor throws. rebuild() always re-decomposes from scratch.
     const SavedCoreOrder* restore = nullptr;
-    /// > 0: rebuild() (and the non-restore constructor) runs the bulk
-    /// parallel decomposition (decomp/parallel_peel.h, exact mode) with
-    /// this many workers instead of sequential BZ — the cold-start
-    /// path. 0 keeps the BZ peel. Both produce valid k-order instances;
-    /// they just pick different (deterministic) ones.
-    int init_workers = 0;
   };
 
   /// Mutates `g`; both `g` and `team` must outlive the maintainer.
@@ -67,14 +61,14 @@ class ParallelOrderMaintainer {
   ParallelOrderMaintainer(DynamicGraph& g, ThreadTeam& team)
       : ParallelOrderMaintainer(g, team, Options()) {}
 
-  /// (Re)initialises cores/k-order/dout/mcd from the current graph.
-  void rebuild();
-
-  /// Same, but overriding Options::init_workers for this call: > 0
-  /// forces the bulk parallel decomposition with that many workers.
-  /// The engine's self-healing repair uses it so the rebuild runs on
-  /// the flush workers even when cold start was configured sequential.
-  void rebuild(int init_workers);
+  /// (Re)initialises cores/k-order/dout/mcd from the current graph:
+  /// with the sequential BZ peel when `workers` is 0 (the constructor's
+  /// path), else with the bulk parallel decomposition
+  /// (decomp/parallel_peel.h, exact mode) on `workers` workers. Both
+  /// produce valid k-order instances; they just pick different
+  /// (deterministic) ones. The engine's self-healing repair passes its
+  /// flush workers.
+  void rebuild(int workers = 0);
 
   /// OurI: inserts a batch with `workers` parallel workers.
   BatchResult insert_batch(std::span<const Edge> edges, int workers);

@@ -27,8 +27,6 @@ bool env_flag(const char* name) {
   return std::strcmp(v, "0") != 0 && std::strcmp(v, "false") != 0;
 }
 
-bool env_present(const char* name) { return std::getenv(name) != nullptr; }
-
 std::string env_str(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   return (v == nullptr || *v == '\0') ? fallback : std::string(v);

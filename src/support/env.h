@@ -14,11 +14,6 @@ double env_double(const char* name, double fallback);
 /// True when `name` is set to a non-empty value other than "0"/"false".
 bool env_flag(const char* name);
 
-/// True when `name` is set at all (even to "0"/"false"/empty). Use for
-/// knobs whose mere presence selects an override, with the value read
-/// separately via env_flag/env_int.
-bool env_present(const char* name);
-
 std::string env_str(const char* name, const std::string& fallback);
 
 }  // namespace parcore

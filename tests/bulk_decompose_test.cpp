@@ -2,7 +2,7 @@
 // §12): the exact peel must be bit-identical to BZ (cores) and emit a
 // valid k-order, deterministically across worker counts. Plus the
 // three consumers: CoreState::initialize_parallel, the maintainer's
-// init_workers cold start, and the engine's background re-verifier.
+// parallel rebuild, and the engine's background re-verifier.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -137,9 +137,8 @@ TEST(MaintainerParallelInit, MaintainsAfterParallelColdStart) {
   test::Workload w = test::make_workload(Family::kEr, 500, 0.15, 0x5eed);
   DynamicGraph g = DynamicGraph::from_edges(w.n, w.base);
   ThreadTeam team(4);
-  ParallelOrderMaintainer::Options opts;
-  opts.init_workers = 4;
-  ParallelOrderMaintainer m(g, team, opts);
+  ParallelOrderMaintainer m(g, team);
+  m.rebuild(4);  // replace the BZ k-order with the parallel peel's
 
   m.insert_batch(w.batch, 4);
   {

@@ -228,37 +228,6 @@ TEST(Engine, OmCompactionIntervalZeroDisables) {
   EXPECT_EQ(eng.stats().om_compactions, 0u);
 }
 
-TEST(Engine, SnapshotGraphCopiesCompactArena) {
-  test::Workload w = test::make_workload(test::Family::kEr, 200, 0.3, 31);
-  auto g = DynamicGraph::from_edges(w.n, w.base);
-  ThreadTeam team(2);
-  StreamingEngine::Options opts;
-  opts.snapshot_graph = true;
-  StreamingEngine eng(g, team, opts);
-
-  auto epoch0 = eng.snapshot();
-  ASSERT_NE(epoch0->graph, nullptr);
-  EXPECT_EQ(epoch0->graph->num_edges(), g.num_edges());
-
-  for (const Edge& e : w.batch) eng.submit_insert(e.u, e.v);
-  eng.flush_now();
-  auto epoch1 = eng.snapshot();
-  ASSERT_NE(epoch1->graph, nullptr);
-  // The epoch-0 copy is immutable: it still shows the pre-flush state.
-  EXPECT_EQ(epoch0->graph->num_edges(), w.base.size());
-  EXPECT_EQ(epoch1->graph->num_edges(), g.num_edges());
-  // The copy is compact: no free-list residue, no growth slack beyond
-  // size-class rounding.
-  EXPECT_EQ(epoch1->graph->memory_stats().freelist_bytes, 0u);
-}
-
-TEST(Engine, SnapshotGraphOffByDefault) {
-  auto g = DynamicGraph::from_edges(4, {});
-  ThreadTeam team(1);
-  StreamingEngine eng(g, team);
-  EXPECT_EQ(eng.snapshot()->graph, nullptr);
-}
-
 TEST(Engine, StopFlushesTail) {
   auto g = DynamicGraph::from_edges(8, {});
   ThreadTeam team(2);
@@ -524,7 +493,6 @@ TEST(Engine, AdaptiveThresholdMovesTowardTarget) {
   opts.flush_threshold = 4096;
   opts.adaptive = true;
   opts.target_flush_ms = 1e-6;  // unreachably fast: must shrink
-  opts.min_threshold = 16;
   StreamingEngine eng(g, team, opts);
   auto stream = gen_update_stream(candidates, 20000, 0.3, 0.5, rng);
   for (const GraphUpdate& u : stream) eng.submit(u);

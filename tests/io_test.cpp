@@ -435,9 +435,15 @@ TEST(Cli, ServeFixtureMatchesBzDecompose) {
 }
 
 TEST(Cli, MaintainFixtureVerifies) {
-  EXPECT_EQ(cli::cli_main({"maintain", "--input", fixture("toy.txt"),
-                           "--window", "10", "--batch", "4", "--verify"}),
-            0);
+  // Every --algo path (OurI/OurR, SeqI/SeqR, JEI/JER) must end in the
+  // cores of a fresh decomposition.
+  for (const char* algo : {"parallel", "seq", "je"}) {
+    EXPECT_EQ(cli::cli_main({"maintain", "--input", fixture("toy.txt"),
+                             "--algo", algo, "--window", "10", "--batch",
+                             "4", "--verify"}),
+              0)
+        << algo;
+  }
 }
 
 TEST(Cli, StatsPrintsMemoryFootprint) {
@@ -486,8 +492,9 @@ TEST(Cli, EverySubcommandRejectsUnknownOptionsWithExit2) {
   }
   // Removed spellings are usage errors, not silent fallbacks: the
   // parallel exact peel and BZ are the only decompositions (no ParK or
-  // h-index), the Traversal maintainer is gone, and `--verify off` is
-  // recover's one way to skip the cross-check.
+  // h-index), the Traversal maintainer is gone, `--verify off` is
+  // recover's one way to skip the cross-check, maintain always runs to
+  // the end of the stream, and serve always verifies a full run.
   for (const std::vector<std::string>& argv :
        std::vector<std::vector<std::string>>{
            {"decompose", "--input", toy, "--algo", "park"},
@@ -496,7 +503,9 @@ TEST(Cli, EverySubcommandRejectsUnknownOptionsWithExit2) {
            {"maintain", "--input", toy, "--algo", "traversal"},
            {"recover", "--dir", "/nonexistent/parcore-ckpt", "--verify",
             "approx"},
-           {"recover", "--dir", "/nonexistent/parcore-ckpt", "--no-verify"}}) {
+           {"recover", "--dir", "/nonexistent/parcore-ckpt", "--no-verify"},
+           {"maintain", "--input", toy, "--steps", "2"},
+           {"serve", "--input", fixture("toy_temporal.txt"), "--no-verify"}}) {
     EXPECT_EQ(cli::cli_main(argv), 2) << argv[0] << " " << argv[3];
   }
   EXPECT_EQ(cli::cli_main({"decompose", "--input", toy, "--algo", "parallel",

@@ -150,12 +150,11 @@ TEST(QueryView, PublicationCostTracksBatchNotN) {
 }
 
 TEST(QueryView, HeldEpochsStayImmutableAndSharePages) {
-  test::Workload w = test::make_workload(test::Family::kRmat, 2000, 0.3, 91);
+  // Ten 4096-core pages.
+  test::Workload w = test::make_workload(test::Family::kRmat, 40000, 0.3, 91);
   auto g = DynamicGraph::from_edges(w.n, w.base);
   ThreadTeam team(2);
-  StreamingEngine::Options opts;
-  opts.snapshot_page = 64;  // force many pages at this n
-  StreamingEngine eng(g, team, opts);
+  StreamingEngine eng(g, team);
 
   auto held = eng.snapshot();
   const std::vector<CoreValue> held_copy = held->materialize();
@@ -172,7 +171,7 @@ TEST(QueryView, HeldEpochsStayImmutableAndSharePages) {
   // pages in place.
   EXPECT_EQ(held->materialize(), held_copy);
   std::size_t shared = 0;
-  for (VertexId v = 0; v < w.n; v += 64)
+  for (VertexId v = 0; v < w.n; v += latest->view.page_size())
     if (latest->view.page_identity(v) == held->view.page_identity(v))
       ++shared;
   EXPECT_GT(shared, 0u) << "no page sharing between epochs at all";
@@ -191,18 +190,16 @@ void expect_summary_eq(const CoreSummary& a, const CoreSummary& b,
 // Every ported core_query function must return bit-identical results on
 // the CoreView vs the materialized flat vector, across randomized
 // insert/remove epochs — and both must match a fresh decomposition of
-// the epoch's graph snapshot.
+// the epoch's graph.
 TEST(QueryView, PortedQueriesBitIdenticalOnViewAndVector) {
   Rng rng(133);
-  const std::size_t n = 500;
-  auto candidates = gen_erdos_renyi(n, 2000, rng);
+  const std::size_t n = 9000;  // two full 4096-core pages + a partial tail
+  auto candidates = gen_erdos_renyi(n, 4 * n, rng);
   canonicalize_edges(candidates);
   auto g = DynamicGraph::from_edges(
       n, std::span<const Edge>(candidates.data(), candidates.size() / 2));
   ThreadTeam team(2);
   StreamingEngine::Options opts;
-  opts.snapshot_page = 64;  // multiple pages, partial tail page
-  opts.snapshot_graph = true;
   opts.workers = 2;
   StreamingEngine eng(g, team, opts);
 
@@ -220,9 +217,10 @@ TEST(QueryView, PortedQueriesBitIdenticalOnViewAndVector) {
     const std::vector<CoreValue> vec = snap->materialize();
     ASSERT_EQ(vec.size(), n);
 
-    // Ground truth: the epoch's own graph copy, freshly decomposed.
-    ASSERT_NE(snap->graph, nullptr);
-    const Decomposition fresh = bz_decompose(*snap->graph);
+    // Ground truth: the engine's graph, freshly decomposed. No
+    // scheduler runs, so it holds still until the next flush_now().
+    const DynamicGraph& graph = eng.graph();
+    const Decomposition fresh = bz_decompose(graph);
     ASSERT_EQ(vec, fresh.core) << "epoch " << snap->epoch;
 
     expect_summary_eq(summarize_cores(view), summarize_cores(vec),
@@ -231,16 +229,15 @@ TEST(QueryView, PortedQueriesBitIdenticalOnViewAndVector) {
     for (CoreValue k = 0; k <= summary.max_core + 1; ++k)
       ASSERT_EQ(k_core_members(view, k), k_core_members(vec, k))
           << "k_core_members k=" << k;
-    for (VertexId u = 0; u < n; u += 37)
-      ASSERT_EQ(subcore_of(*snap->graph, view, u),
-                subcore_of(*snap->graph, vec, u))
+    // Seven probes: three on each full page, one on the tail page.
+    for (VertexId u = 0; u < n; u += 1499)
+      ASSERT_EQ(subcore_of(graph, view, u), subcore_of(graph, vec, u))
           << "subcore_of u=" << u;
-    ASSERT_EQ(all_subcores(*snap->graph, view),
-              all_subcores(*snap->graph, vec));
+    ASSERT_EQ(all_subcores(graph, view), all_subcores(graph, vec));
     for (CoreValue k = 1; k <= summary.max_core; ++k) {
       std::vector<VertexId> map_view, map_vec;
-      DynamicGraph sub_view = k_core_subgraph(*snap->graph, view, k, &map_view);
-      DynamicGraph sub_vec = k_core_subgraph(*snap->graph, vec, k, &map_vec);
+      DynamicGraph sub_view = k_core_subgraph(graph, view, k, &map_view);
+      DynamicGraph sub_vec = k_core_subgraph(graph, vec, k, &map_vec);
       ASSERT_EQ(sub_view.num_vertices(), sub_vec.num_vertices()) << k;
       ASSERT_EQ(sub_view.num_edges(), sub_vec.num_edges()) << k;
       ASSERT_EQ(map_view, map_vec) << k;

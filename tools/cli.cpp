@@ -32,7 +32,6 @@
 #include "maint/seq_order.h"
 #include "obs/export.h"
 #include "obs/trace.h"
-#include "support/env.h"
 #include "support/timer.h"
 
 #ifdef PARCORE_HAVE_ZLIB
@@ -77,9 +76,6 @@ commands:
 Input formats (spec: docs/FORMATS.md): SNAP-style edge lists,
 MatrixMarket .mtx, and the .pcg binary cache; .gz variants of the text
 formats when built with zlib (-DPARCORE_WITH_ZLIB=ON).
-
-Environment knobs (full table: docs/CONFIG.md): PARCORE_ENGINE_* for
-the streaming engine's flush policy, PARCORE_WAL_* for durability.
 )";
 
 // ------------------------------------------------------------ arg parsing
@@ -213,8 +209,7 @@ Static core decomposition with a load/decompose time breakdown.
   --input FILE   dataset (edge list / .mtx / .pcg; docs/FORMATS.md)
   --algo NAME    bz (sequential, default) or parallel (parallel exact
                  peel, also derives a k-order)
-  --workers N    worker threads for parallel (default 8, or
-                 PARCORE_DECOMPOSE_WORKERS when set)
+  --workers N    worker threads for parallel (default 8)
   --top K        print the K highest-coreness vertices (original ids)
   --histogram    print the core-value distribution
 )";
@@ -232,8 +227,7 @@ int cmd_decompose(const Args& args) {
   print_load_summary(input, data, load_ms);
 
   DynamicGraph g = io::to_dynamic_graph(data);
-  const int workers = static_cast<int>(args.get_positive(
-      "workers", std::max(env_int("PARCORE_DECOMPOSE_WORKERS", 8), 1L)));
+  const int workers = static_cast<int>(args.get_positive("workers", 8));
   WallTimer decomp_timer;
   std::vector<CoreValue> cores;
   std::string note;
@@ -365,7 +359,6 @@ the batch that slides out of the window once it is full.
   --window N     live-edge window (default: half the dataset)
   --batch B      edges per step (default 1000)
   --workers W    parallel/je workers per batch (default 8)
-  --steps S      stop after S steps (default: until exhausted)
   --verify       recompute cores from scratch at the end and compare
 )";
 
@@ -390,7 +383,6 @@ int cmd_maintain(const Args& args) {
   const std::size_t batch =
       static_cast<std::size_t>(args.get_positive("batch", 1000));
   const int workers = static_cast<int>(args.get_positive("workers", 8));
-  const long max_steps = args.has("steps") ? args.get_positive("steps", 1) : -1;
 
   // The window starts as the first min(window, m) edges.
   const std::size_t base_len = std::min(window, stream.size());
@@ -429,8 +421,7 @@ int cmd_maintain(const Args& args) {
 
   std::vector<double> insert_ms, remove_ms;
   std::size_t pos = base_len, steps = 0;
-  while (pos < stream.size() &&
-         (max_steps < 0 || steps < static_cast<std::size_t>(max_steps))) {
+  while (pos < stream.size()) {
     const std::size_t len = std::min(batch, stream.size() - pos);
     std::span<const Edge> in(stream.data() + pos, len);
 
@@ -582,7 +573,7 @@ constexpr const char* kServeUsage =
 Drives the streaming engine from a temporal update file ("[+|-] u v [t]"
 lines; a plain edge list is an insert-only stream). Ops are partitioned
 across producer threads by edge, so the final graph is deterministic and
-is checked against a fresh bz_decompose unless --no-verify.
+is checked against a fresh bz_decompose.
 
   --input FILE    temporal update stream (docs/FORMATS.md)
   --producers N   concurrent producer threads (default 4)
@@ -591,7 +582,6 @@ is checked against a fresh bz_decompose unless --no-verify.
                   producers run (default 0)
   --workers W     maintainer workers per flush (default: engine default)
   --repeat R      replay the stream R times (default 1; load amplifier)
-  --no-verify     skip the final bz_decompose comparison
   --metrics-port P  serve live metrics over HTTP on 127.0.0.1:P while
                   the run is in flight (0 picks an ephemeral port):
                   /metrics is Prometheus text exposition, /summary the
@@ -611,25 +601,22 @@ is checked against a fresh bz_decompose unless --no-verify.
                   against the live snapshot; mismatches quarantine
                   queries to the last verified epoch until the next
                   flush repairs the state (docs/ROBUSTNESS.md); counted
-                  in parcore_verify_mismatches_total (0 = off;
-                  PARCORE_SERVE_REVERIFY_MS sets the same knob)
+                  in parcore_verify_mismatches_total (0 = off)
   --ingest-cap N  bound the ingest buffer at N pending updates
                   (admission control, docs/ROBUSTNESS.md; 0 = unbounded,
-                  the default; PARCORE_ENGINE_INGEST_CAP sets the same)
+                  the default)
   --overload POLICY  what producers hitting the cap get: `block` (wait
                   for a drain; default), `shed` (reject, counted in
                   parcore_admission_shed_total), `degrade` (compact the
-                  producer's shard to last-op-per-edge and admit);
-                  PARCORE_ENGINE_OVERLOAD sets the same knob
+                  producer's shard to last-op-per-edge and admit)
 
 SIGINT/SIGTERM stop the run gracefully: producers stop submitting, the
 engine drains, takes its shutdown checkpoint when durability is dirty,
 and the closing report still prints (exit 0; the final bz_decompose
 verification is skipped because the op stream was cut short).
 
-Engine flush policy comes from PARCORE_ENGINE_* (docs/CONFIG.md);
-PARCORE_WAL_* sets the same durability knobs environment-wide;
-PARCORE_ENGINE_SNAPSHOT_PAGE sizes the copy-on-write snapshot pages.
+Every other engine setting keeps its StreamingEngine::Options default
+(docs/CONFIG.md).
 )";
 
 int cmd_serve(const Args& args) {
@@ -656,7 +643,7 @@ int cmd_serve(const Args& args) {
   for (long r = 0; r < repeat; ++r)
     for (const io::TimedUpdate& op : stream.ops) ops.push_back(op.u);
 
-  engine::StreamingEngine::Options opts = engine::options_from_env();
+  engine::StreamingEngine::Options opts;
   if (args.has("workers"))
     opts.workers = static_cast<int>(args.get_positive("workers", opts.workers));
   if (args.has("checkpoint-dir"))
@@ -806,7 +793,7 @@ int cmd_serve(const Args& args) {
       "served %zu ops with %d producers in %.2f s (%.1f kups)\n"
       "  epochs %llu, applied +%llu/-%llu, coalesced: %llu pairs, "
       "%llu dups, %llu noops, %llu rejected\n"
-      "  flush p50 %.2f ms, p99 %.2f ms; final epoch %llu, max core %d\n",
+      "  final epoch %llu, max core %d\n",
       ops.size(), producers, sec,
       sec > 0 ? static_cast<double>(ops.size()) / sec / 1000.0 : 0.0,
       static_cast<unsigned long long>(stats.epochs),
@@ -816,16 +803,7 @@ int cmd_serve(const Args& args) {
       static_cast<unsigned long long>(stats.coalesce.duplicates),
       static_cast<unsigned long long>(stats.coalesce.noops),
       static_cast<unsigned long long>(stats.coalesce.rejected),
-      static_cast<double>(stats.flush_us.quantile_upper(0.5)) / 1000.0,
-      static_cast<double>(stats.flush_us.quantile_upper(0.99)) / 1000.0,
       static_cast<unsigned long long>(snap->epoch), snap->max_core);
-  std::printf(
-      "  snapshot publish p50 %.0f us, p99 %.0f us; %llu pages cloned "
-      "(page %zu cores)\n",
-      static_cast<double>(stats.publish_us.quantile_upper(0.5)),
-      static_cast<double>(stats.publish_us.quantile_upper(0.99)),
-      static_cast<unsigned long long>(stats.publish_pages_cloned.sum),
-      snap->view.page_size());
   if (readers > 0)
     std::printf(
         "  readers: %ld threads, %llu point reads (%.0f k/s), "
@@ -922,7 +900,7 @@ int cmd_serve(const Args& args) {
                 "checkpointed\n");
     return 0;
   }
-  if (stats.admission.shed > 0 && !args.has("no-verify")) {
+  if (stats.admission.shed > 0) {
     std::printf("shed %llu ops under overload: skipping final "
                 "bz_decompose verification (the accepted subset is "
                 "load-dependent; tests/ingest_test.cpp covers its "
@@ -930,27 +908,25 @@ int cmd_serve(const Args& args) {
                 static_cast<unsigned long long>(stats.admission.shed));
     return 0;
   }
-  if (!args.has("no-verify")) {
-    // Per-edge op order is preserved inside one producer stream, so the
-    // final edge set is schedule-independent: compare against a fresh
-    // decomposition of the sequential replay.
-    std::vector<io::TimedUpdate> replay;
-    replay.reserve(ops.size());
-    for (const GraphUpdate& u : ops)
-      replay.push_back(io::TimedUpdate{u, 0});
-    DynamicGraph fresh = DynamicGraph::from_edges(
-        stream.num_vertices, io::replay_final_edges(replay));
-    const Decomposition expect = bz_decompose(fresh);
-    if (fresh.num_edges() != g.num_edges() ||
-        !cores_match(snap->materialize(), expect.core)) {
-      std::fprintf(stderr, "FAILED: served cores diverge from bz_decompose "
-                           "of the replayed final graph\n");
-      return 1;
-    }
-    std::printf("verified: served cores match bz_decompose of the final "
-                "graph (%zu edges)\n",
-                fresh.num_edges());
+  // Per-edge op order is preserved inside one producer stream, so the
+  // final edge set is schedule-independent: compare against a fresh
+  // decomposition of the sequential replay.
+  std::vector<io::TimedUpdate> replay;
+  replay.reserve(ops.size());
+  for (const GraphUpdate& u : ops)
+    replay.push_back(io::TimedUpdate{u, 0});
+  DynamicGraph fresh = DynamicGraph::from_edges(
+      stream.num_vertices, io::replay_final_edges(replay));
+  const Decomposition expect = bz_decompose(fresh);
+  if (fresh.num_edges() != g.num_edges() ||
+      !cores_match(snap->materialize(), expect.core)) {
+    std::fprintf(stderr, "FAILED: served cores diverge from bz_decompose "
+                         "of the replayed final graph\n");
+    return 1;
   }
+  std::printf("verified: served cores match bz_decompose of the final "
+              "graph (%zu edges)\n",
+              fresh.num_edges());
   return 0;
 }
 
@@ -1043,13 +1019,13 @@ int cli_main(const std::vector<std::string>& args) {
        cmd_decompose},
       {"convert", kConvertUsage, {"input", "output"}, {}, cmd_convert},
       {"maintain", kMaintainUsage,
-       {"input", "algo", "window", "batch", "workers", "steps"},
+       {"input", "algo", "window", "batch", "workers"},
        {"verify"}, cmd_maintain},
       {"serve", kServeUsage,
        {"input", "producers", "readers", "workers", "repeat", "metrics-port",
         "trace-out", "checkpoint-dir", "checkpoint-interval", "reverify",
         "ingest-cap", "overload"},
-       {"no-verify"}, cmd_serve},
+       {}, cmd_serve},
       {"recover", kRecoverUsage, {"dir", "workers", "verify"}, {},
        cmd_recover},
       {"stats", kStatsUsage, {"input", "live"}, {}, cmd_stats},

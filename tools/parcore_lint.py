@@ -22,15 +22,17 @@ Rules (each maps to a section of docs/STATIC_ANALYSIS.md):
   getenv      Raw getenv() only inside src/support/env.cpp (the typed
               accessors) and src/durability/inject.cpp (the injection
               points, which must stay dependency-free).
-              Everything else goes through env_int/env_flag/env_str/
-              env_present so defaults and parsing live in one place.
+              Everything else goes through env_int/env_double/
+              env_flag/env_str so defaults and parsing live in one
+              place.
 
   env-doc     Every "PARCORE_*" environment-variable string literal in
               the tree must be documented in docs/CONFIG.md, and every
-              PARCORE_* name docs/CONFIG.md documents must be mentioned
-              by some file under src/, tools/, bench/, tests/,
-              examples/ or CMakeLists.txt (a stale row documents a
-              knob that no longer exists).
+              PARCORE_* name docs/CONFIG.md documents must be one that
+              code could read: a "PARCORE_*" string literal in a C++
+              file under src/, tools/, bench/ or examples/, or a token
+              in CMakeLists.txt. A mention in a comment does not count
+              (a stale row documents a knob that no longer exists).
 
 Exit status: 0 clean, 1 violations (printed one per line as
 path:line: [rule] message), 2 usage/internal error.
@@ -87,9 +89,10 @@ GETENV_ALLOWLIST = {
 
 CONFIG_MD = "docs/CONFIG.md"
 
-# env-doc, reverse direction: where a documented PARCORE_* name must be
-# mentioned (in code, comments or build files) to count as live.
-USE_DIRS = ["src", "tools", "bench", "tests", "examples"]
+# env-doc, reverse direction: a documented PARCORE_* name is live only
+# where code could read it — a string literal in a C++ file under
+# USE_DIRS, or a token (outside comments) in one of USE_FILES.
+USE_DIRS = ["src", "tools", "bench", "examples"]
 USE_FILES = ["CMakeLists.txt"]
 
 BARE_LOCK_RE = re.compile(r"(?:\.|->)\s*(?:un)?lock\s*\(\s*\)")
@@ -100,7 +103,7 @@ STRUCT_RE = re.compile(
 )
 GETENV_RE = re.compile(r"(?:\bstd\s*::\s*|::)?\bgetenv\s*\(")
 ENV_VAR_RE = re.compile(r'"(PARCORE_[A-Z0-9_]+)"')
-# A name ending in "_" is a family heading (`PARCORE_WAL_*`).
+# A name ending in "_" is a family heading (`PARCORE_BENCH_*`).
 NAME_RE = re.compile(r"PARCORE_[A-Z0-9_]+")
 
 
@@ -141,8 +144,8 @@ def strip_comments(text: str) -> str:
     return "".join(out)
 
 
-def cxx_files(root: pathlib.Path):
-    for d in CXX_DIRS:
+def cxx_files(root: pathlib.Path, dirs=CXX_DIRS):
+    for d in dirs:
         base = root / d
         if not base.is_dir():
             continue
@@ -151,15 +154,17 @@ def cxx_files(root: pathlib.Path):
                 yield p
 
 
-def mentioned_names(root: pathlib.Path) -> set[str]:
-    paths = [root / f for f in USE_FILES]
-    for d in USE_DIRS:
-        if (root / d).is_dir():
-            paths.extend(sorted((root / d).rglob("*")))
+def live_names(root: pathlib.Path) -> set[str]:
     names: set[str] = set()
-    for p in paths:
+    for p in cxx_files(root, USE_DIRS):
+        text = strip_comments(p.read_text(errors="replace"))
+        names.update(ENV_VAR_RE.findall(text))
+    for f in USE_FILES:
+        p = root / f
         if p.is_file():
-            names.update(NAME_RE.findall(p.read_text(errors="replace")))
+            lines = p.read_text(errors="replace").splitlines()
+            names.update(NAME_RE.findall(
+                "\n".join(line.split("#", 1)[0] for line in lines)))
     return names
 
 
@@ -170,12 +175,12 @@ def lint(root: pathlib.Path) -> list[str]:
     if config_md.is_file():
         config_lines = config_md.read_text().splitlines()
         documented = set(NAME_RE.findall("\n".join(config_lines)))
-        mentioned = mentioned_names(root)
+        read = live_names(root)
 
         def live(var: str) -> bool:
             if var.endswith("_"):
-                return any(m.startswith(var) for m in mentioned)
-            return var in mentioned
+                return any(m.startswith(var) for m in read)
+            return var in read
 
         for ln, line in enumerate(config_lines, 1):
             for var in sorted(set(NAME_RE.findall(line))):
@@ -185,8 +190,9 @@ def lint(root: pathlib.Path) -> list[str]:
                     var += "*"
                 errors.append(
                     f"{CONFIG_MD}:{ln}: [env-doc] '{var}' is documented "
-                    "but no file under " + ", ".join(USE_DIRS + USE_FILES)
-                    + " mentions it"
+                    "but no code reads it (no string literal in C++ under "
+                    + ", ".join(USE_DIRS) + ", no token in "
+                    + ", ".join(USE_FILES) + ")"
                 )
 
     for path in cxx_files(root):
@@ -220,8 +226,8 @@ def lint(root: pathlib.Path) -> list[str]:
                 if GETENV_RE.search(line):
                     errors.append(
                         f"{rel}:{ln}: [getenv] raw getenv() — use the "
-                        "support/env.h accessors (env_int/env_flag/"
-                        "env_str/env_present)"
+                        "support/env.h accessors (env_int/env_double/"
+                        "env_flag/env_str)"
                     )
 
         # env-doc --------------------------------------------------------
@@ -259,6 +265,10 @@ CLEAN = (
 # A documented name that nothing mentions (the reverse env-doc check).
 STALE_DOC = "`PARCORE_SELFTEST_STALE`\n"
 
+# A documented name that only a comment mentions: no code reads it.
+COMMENT_ONLY_DOC = "`PARCORE_SELFTEST_COMMENT_ONLY`\n"
+COMMENT_ONLY_CODE = "// Tuned by PARCORE_SELFTEST_COMMENT_ONLY (\"PARCORE_SELFTEST_COMMENT_ONLY\").\n"
+
 
 def self_test() -> int:
     failures = []
@@ -293,6 +303,14 @@ def self_test() -> int:
                    for e in errs):
             failures.append("rule 'env-doc' did NOT fire on a documented "
                             "name no file mentions")
+
+        config_md.write_text(config_md.read_text() + COMMENT_ONLY_DOC)
+        (srcdir / "comment_only.cpp").write_text(COMMENT_ONLY_CODE)
+        errs = lint(root)
+        if not any("[env-doc]" in e and "PARCORE_SELFTEST_COMMENT_ONLY" in e
+                   for e in errs):
+            failures.append("rule 'env-doc' did NOT fire on a documented "
+                            "name only a comment mentions")
 
     if failures:
         print("parcore_lint self-test FAILED:", file=sys.stderr)
