@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -49,6 +50,36 @@ struct CoalescedBatch {
   std::vector<Edge> inserts;
   std::vector<Edge> removes;
   CoalesceStats stats;
+};
+
+/// One distinct edge's recorded updates (LastOpTable).
+struct EdgeRun {
+  std::uint64_t key = 0;      // edge_key of the edge
+  std::uint32_t first = 0;    // index of its first recorded update
+  std::uint32_t last = 0;     // index of its latest recorded update
+  std::uint32_t inserts = 0;  // recorded updates of each kind
+  std::uint32_t removes = 0;
+};
+
+/// The one last-op-wins table, shared by coalesce() and the ingest
+/// queue's kDegrade compaction. Groups updates by canonical edge in
+/// power-of-two slots holding run indices, probed linearly. Sized once
+/// for `max_edges` distinct edges at load <= 1/2, so it never grows and
+/// allocates nothing per edge. Indices must fit in 32 bits.
+class LastOpTable {
+ public:
+  explicit LastOpTable(std::size_t max_edges);
+
+  /// Records update `u` found at index `i` of its span.
+  void add(const GraphUpdate& u, std::uint32_t i);
+
+  /// One run per distinct edge, in first-recorded order.
+  const std::vector<EdgeRun>& runs() const { return runs_; }
+
+ private:
+  std::vector<std::uint32_t> slots_;  // run index + 1; 0 = empty
+  std::vector<EdgeRun> runs_;
+  int shift_ = 0;  // 64 - log2(slots)
 };
 
 /// Coalesces `updates` (in drain order) against the current membership

@@ -603,6 +603,12 @@ obs::Rows StreamingEngine::metric_rows() const {
       {"parcore_flushes_total", s.epochs},
       {"parcore_inserts_applied_total", s.applied_inserts},
       {"parcore_removes_applied_total", s.applied_removes},
+      {"parcore_coalesce_annihilated_pairs_total",
+       s.coalesce.annihilated_pairs},
+      {"parcore_coalesce_duplicates_total", s.coalesce.duplicates},
+      {"parcore_coalesce_noops_total", s.coalesce.noops},
+      {"parcore_coalesce_rejected_total", s.coalesce.rejected},
+      {"parcore_coalesce_us_total", s.phases.coalesce_us},
       {"parcore_snapshot_pages_cloned_total", s.publish_pages_cloned.sum},
       {"parcore_publishes_total", s.epochs - s.repairs},
       {"parcore_index_rebuilds_total", 1 + s.repairs},

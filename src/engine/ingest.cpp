@@ -1,26 +1,19 @@
 #include "engine/ingest.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <functional>
 #include <thread>
-#include <unordered_set>
+
+#include "engine/coalesce.h"
 
 namespace parcore::engine {
 
-namespace {
-
-std::size_t round_up_pow2(std::size_t x) {
-  std::size_t p = 1;
-  while (p < x) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 IngestQueue::IngestQueue(Options opts)
     : cap_(opts.cap), policy_(opts.policy), overflow_(opts.overflow) {
-  const std::size_t count = round_up_pow2(opts.shards == 0 ? 1 : opts.shards);
+  const std::size_t count =
+      std::bit_ceil(std::max<std::size_t>(opts.shards, 1));
   shards_ = std::vector<Shard>(count);
   mask_ = count - 1;
 }
@@ -42,24 +35,22 @@ std::size_t IngestQueue::compact_shard(Shard& s) {
   // all-distinct stream at the cap would pay a futile O(size) scan per
   // push (observed as a ~500x throughput collapse in bench_overload).
   if (before < s.compact_floor * 2 + 16) return 0;
-  if (before > 1) {
-    // Walk back to front keeping only each edge's LAST op, then restore
-    // order. Dropping an edge's earlier ops cannot change what the
-    // coalescer computes from the drained stream: only the drain-order
-    // last op of an edge decides its outcome, and survivors keep their
-    // relative order (per-producer FIFO included).
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(before);
-    std::vector<GraphUpdate> kept;
-    kept.reserve(before);
-    for (std::size_t i = before; i-- > 0;) {
-      if (seen.insert(edge_key(s.buf[i].e)).second) kept.push_back(s.buf[i]);
-    }
-    std::reverse(kept.begin(), kept.end());
-    s.buf.swap(kept);
-  }
-  s.compact_floor = s.buf.size();
-  const std::size_t removed = before - s.buf.size();
+  // Keep only each edge's LAST op, in place. Dropping an edge's earlier
+  // ops cannot change what the coalescer computes from the drained
+  // stream: only the drain-order last op of an edge decides its
+  // outcome, and survivors keep their relative order (per-producer FIFO
+  // included). Recorded back to front, a run's `first` is its edge's
+  // last op, and the runs come out in decreasing index order.
+  LastOpTable table(before);
+  for (std::size_t i = before; i-- > 0;)
+    table.add(s.buf[i], static_cast<std::uint32_t>(i));
+  const std::vector<EdgeRun>& runs = table.runs();
+  std::size_t kept = 0;
+  for (auto r = runs.rbegin(); r != runs.rend(); ++r)
+    s.buf[kept++] = s.buf[r->first];
+  s.buf.resize(kept);
+  s.compact_floor = kept;
+  const std::size_t removed = before - kept;
   if (removed > 0) size_.fetch_sub(removed, std::memory_order_relaxed);
   return removed;
 }

@@ -3,8 +3,11 @@
 // and epoch-snapshot consistency under concurrent flushes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <string>
 #include <thread>
 #include <unordered_set>
 
@@ -156,6 +159,102 @@ TEST(Coalesce, BatchesDisjointAndAccountingExact) {
                              b.inserts.size() + b.removes.size());
   EXPECT_GT(b.stats.annihilated_pairs, 0u);
   EXPECT_GT(b.stats.duplicates, 0u);
+}
+
+// Reference last-op-wins model: every op of an edge kept in an ordered
+// map, first-seen order in a list, the winner read off the back.
+CoalescedBatch reference_coalesce(std::span<const GraphUpdate> ops,
+                                  const DynamicGraph& g) {
+  CoalescedBatch out;
+  out.stats.raw = ops.size();
+  const auto n = static_cast<VertexId>(g.num_vertices());
+  std::map<std::pair<VertexId, VertexId>, std::vector<UpdateKind>> kinds;
+  std::vector<std::pair<VertexId, VertexId>> order;
+  for (const GraphUpdate& u : ops) {
+    if (u.e.u == u.e.v || std::max(u.e.u, u.e.v) >= n) {
+      ++out.stats.rejected;
+      continue;
+    }
+    const Edge c = canonical(u.e);
+    auto [it, fresh] = kinds.try_emplace({c.u, c.v});
+    if (fresh) order.push_back(it->first);
+    it->second.push_back(u.kind);
+  }
+  for (const auto& key : order) {
+    const std::vector<UpdateKind>& k = kinds[key];
+    const auto earlier_ins = static_cast<std::size_t>(
+        std::count(k.begin(), k.end() - 1, UpdateKind::kInsert));
+    const std::size_t earlier_rem = k.size() - 1 - earlier_ins;
+    const std::size_t pairs = std::min(earlier_ins, earlier_rem);
+    out.stats.annihilated_pairs += pairs;
+    out.stats.duplicates += k.size() - 1 - 2 * pairs;
+    const bool insert = k.back() == UpdateKind::kInsert;
+    if (insert == g.has_edge(key.first, key.second))
+      ++out.stats.noops;
+    else
+      (insert ? out.inserts : out.removes).push_back({key.first, key.second});
+  }
+  return out;
+}
+
+void expect_same_batch(const CoalescedBatch& got, const CoalescedBatch& want,
+                       const std::string& label) {
+  EXPECT_EQ(got.inserts, want.inserts) << label;
+  EXPECT_EQ(got.removes, want.removes) << label;
+  EXPECT_EQ(got.stats.raw, want.stats.raw) << label;
+  EXPECT_EQ(got.stats.annihilated_pairs, want.stats.annihilated_pairs)
+      << label;
+  EXPECT_EQ(got.stats.duplicates, want.stats.duplicates) << label;
+  EXPECT_EQ(got.stats.noops, want.stats.noops) << label;
+  EXPECT_EQ(got.stats.rejected, want.stats.rejected) << label;
+}
+
+TEST(Coalesce, MatchesReferenceModelInFirstSeenOrder) {
+  // Pins the output order too: both batches must equal the reference's
+  // element by element, in first-seen drain order.
+  constexpr VertexId kN = 300;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    auto edges = gen_erdos_renyi(kN, 900, rng);
+    canonicalize_edges(edges);
+    auto g = DynamicGraph::from_edges(
+        kN, std::span<const Edge>(edges.data(), edges.size() / 2));
+    auto stream = gen_update_stream(edges, 5000 + 777 * seed, 0.45, 0.8, rng);
+    // Self-loops and out-of-range endpoints at random positions, some
+    // reversed so orientation must not split an edge either.
+    for (std::size_t i = 0; i < stream.size(); i += 1 + rng.bounded(40)) {
+      const auto v = static_cast<VertexId>(rng.bounded(kN));
+      switch (rng.bounded(4)) {
+        case 0: stream[i].e = {v, v}; break;
+        case 1: stream[i].e = {v, kN + v}; break;
+        case 2: stream[i].e = {kN, v}; break;
+        default: stream[i].e = {stream[i].e.v, stream[i].e.u}; break;
+      }
+    }
+    expect_same_batch(engine::coalesce(stream, g),
+                      reference_coalesce(stream, g),
+                      "seed " + std::to_string(seed));
+  }
+
+  auto g = test::make_graph(kN, {Edge{3, 4}});
+  // Every update on one edge, both orientations and kinds.
+  std::vector<GraphUpdate> same;
+  for (int i = 0; i < 1001; ++i)
+    same.push_back(i % 3 == 0 ? rem(4, 3) : i % 2 == 0 ? ins(3, 4) : rem(3, 4));
+  const CoalescedBatch one = engine::coalesce(same, g);
+  expect_same_batch(one, reference_coalesce(same, g), "one edge");
+  EXPECT_EQ(one.inserts.size() + one.removes.size() + one.stats.noops, 1u);
+
+  // All distinct, a length that is not a power of two.
+  std::vector<GraphUpdate> distinct;
+  for (VertexId i = 0; i + 1 < kN && distinct.size() < 299; ++i)
+    distinct.push_back(i % 2 == 0 ? ins(i + 1, i) : rem(i, i + 1));
+  const CoalescedBatch all = engine::coalesce(distinct, g);
+  expect_same_batch(all, reference_coalesce(distinct, g), "all distinct");
+  EXPECT_EQ(all.stats.duplicates + all.stats.annihilated_pairs, 0u);
+
+  expect_same_batch(engine::coalesce({}, g), reference_coalesce({}, g),
+                    "empty");
 }
 
 // ------------------------------------------------------------- engine
@@ -731,6 +830,61 @@ TEST(EngineMetrics, TwoEnginesExportTheirOwnStats) {
             histogram_row(rows, "parcore_engine_init_us"))
       EXPECT_EQ(h->count, 1u);
   }
+}
+
+// The coalescer's rows account for every submit: after stop() has
+// flushed the tail, each update was rejected, annihilated in a pair, a
+// duplicate, a no-op, or applied.
+TEST(EngineMetrics, CoalesceRowsAccountForEverySubmit) {
+  constexpr VertexId kN = 400;
+  Rng rng(51);
+  auto edges = gen_erdos_renyi(kN, 1500, rng);
+  canonicalize_edges(edges);
+  auto g = DynamicGraph::from_edges(
+      kN, std::span<const Edge>(edges.data(), edges.size() / 2));
+  auto stream = gen_update_stream(edges, 20000, 0.45, 0.8, rng);
+  for (std::size_t i = 0; i < stream.size(); i += 97)
+    stream[i].e = i % 2 == 0 ? Edge{7, 7} : Edge{3, kN + 3};
+  ThreadTeam team(2);
+  StreamingEngine::Options opts;
+  opts.workers = 2;
+  opts.flush_threshold = 256;
+  StreamingEngine eng(g, team, opts);
+  eng.start();
+  constexpr std::size_t kProducers = 2;
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p)
+    producers.emplace_back([&eng, &stream, p] {
+      for (std::size_t i = p; i < stream.size(); i += kProducers)
+        eng.submit(stream[i]);
+    });
+  for (auto& t : producers) t.join();
+  eng.stop();
+
+  const engine::EngineStats s = eng.stats();
+  const obs::Rows rows = eng.metric_rows();
+  const std::uint64_t rejected =
+      counter_row(rows, "parcore_coalesce_rejected_total");
+  const std::uint64_t pairs =
+      counter_row(rows, "parcore_coalesce_annihilated_pairs_total");
+  const std::uint64_t duplicates =
+      counter_row(rows, "parcore_coalesce_duplicates_total");
+  const std::uint64_t noops = counter_row(rows, "parcore_coalesce_noops_total");
+  EXPECT_EQ(counter_row(rows, "parcore_updates_submitted_total"),
+            rejected + 2 * pairs + duplicates + noops +
+                counter_row(rows, "parcore_inserts_applied_total") +
+                counter_row(rows, "parcore_removes_applied_total"));
+  EXPECT_EQ(counter_row(rows, "parcore_updates_submitted_total"),
+            stream.size());
+  EXPECT_EQ(rejected, (stream.size() + 96) / 97);
+  EXPECT_GT(pairs, 0u);
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_EQ(rejected, s.coalesce.rejected);
+  EXPECT_EQ(pairs, s.coalesce.annihilated_pairs);
+  EXPECT_EQ(duplicates, s.coalesce.duplicates);
+  EXPECT_EQ(noops, s.coalesce.noops);
+  EXPECT_EQ(counter_row(rows, "parcore_coalesce_us_total"),
+            s.phases.coalesce_us);
 }
 
 // The flush, publish and batch-size histograms are exported as the

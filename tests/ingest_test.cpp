@@ -218,6 +218,39 @@ TEST(IngestCap, DegradeCompactionKeepsLastOpPerEdge) {
     const bool expect_insert = (kRounds - 1 + e) % 2 == 0;
     EXPECT_EQ(last[e] == UpdateKind::kInsert, expect_insert) << "edge " << e;
   }
+
+  // Exact shape of one compaction: a shard holding interleaved ops on
+  // four edges (some pushed reversed) compacts to exactly each edge's
+  // last op, as pushed, in the original relative order. The 33rd push
+  // is the first to find the queue at its cap of 32, so it compacts
+  // the whole shard once.
+  IngestQueue one(bounded(32, OverloadPolicy::kDegrade, 1));
+  std::vector<GraphUpdate> pushed;
+  for (VertexId i = 0; i < 33; ++i) {
+    const VertexId a = 2 * ((i * 7 + i / 3) % 4);
+    const GraphUpdate u = i % 5 == 0 ? rem(a + 1, a)
+                          : i % 3 == 0 ? rem(a, a + 1)
+                                       : ins(a, a + 1);
+    pushed.push_back(u);
+    EXPECT_TRUE(one.push(u).accepted);
+  }
+  std::vector<GraphUpdate> expect;
+  for (std::size_t i = 0; i < pushed.size(); ++i) {
+    bool superseded = false;
+    for (std::size_t j = i + 1; j < pushed.size(); ++j)
+      superseded |= edge_key(pushed[j].e) == edge_key(pushed[i].e);
+    if (!superseded) expect.push_back(pushed[i]);
+  }
+  ASSERT_EQ(expect.size(), 4u);
+  EXPECT_EQ(one.admission().compacted, pushed.size() - expect.size());
+  EXPECT_EQ(one.approx_size(), expect.size());
+  std::vector<GraphUpdate> kept;
+  one.drain(kept);
+  ASSERT_EQ(kept.size(), expect.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i].e, expect[i].e) << "survivor " << i;
+    EXPECT_EQ(kept[i].kind, expect[i].kind) << "survivor " << i;
+  }
 }
 
 TEST(IngestCap, DegradeUnderRacingProducersBoundsDuplicateHeavyStreams) {
