@@ -1,6 +1,8 @@
 // Parallel bulk core decomposition (DESIGN.md §12): the multi-threaded
-// cold-start path that replaces sequential BZ on engine construction,
-// crash recovery verification and `parcore_cli decompose`.
+// exact decomposition behind the serving re-verifier, crash recovery
+// verification and `parcore_cli decompose --algo parallel`. Maintenance
+// state is built from BZ (CoreState::initialize); a peel image can be
+// installed too (CoreState::install), since its order is a k-order.
 //
 // Level-synchronous frontier peeling (the ParK/PKC family) that
 // additionally records the peel order: vertices are appended frontier
@@ -23,8 +25,7 @@ namespace parcore {
 struct BulkDecomposition {
   std::vector<CoreValue> core;
   /// A valid k-order instance (non-decreasing core numbers,
-  /// dout(v) <= core(v) along it) — feedable to
-  /// CoreState::initialize_from_order.
+  /// dout(v) <= core(v) along it) — installable with CoreState::install.
   std::vector<VertexId> order;
   CoreValue max_core = 0;
   /// Frontier sub-rounds executed.

@@ -231,7 +231,7 @@ std::uint64_t StreamingEngine::flush_locked() {
   // corruption in the same epoch.
   const bool repaired = repair_requested_.exchange(false);
   if (repaired) {
-    maintainer_.rebuild(std::max(1, opts_.workers));
+    maintainer_.rebuild();
     span.repair_us = timer.elapsed_us();
   }
   const std::uint64_t t_repair = timer.elapsed_us();

@@ -107,10 +107,6 @@ class IngestQueue {
     return size_.load(std::memory_order_relaxed);
   }
 
-  std::size_t shard_count() const { return shards_.size(); }
-  std::size_t cap() const { return cap_; }
-  OverloadPolicy policy() const { return policy_; }
-
   /// Cumulative admission outcomes (relaxed reads; maintained only on
   /// the overload slow paths, so an uncontended push stays as cheap as
   /// the unbounded queue's).

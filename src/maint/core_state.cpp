@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
-#include "decomp/parallel_peel.h"
 #include "decomp/verify.h"
 #include "sync/backoff.h"
 
@@ -49,6 +49,8 @@ std::size_t LevelDirectory::compact_all() {
   return reclaimed;
 }
 
+// Fresh arrays are value-initialised: every t, s, din and counter
+// starts at 0, no lock held.
 void CoreState::allocate(std::size_t n) {
   n_ = n;
   core_ = std::make_unique<CoreAndFloor[]>(n_);
@@ -61,177 +63,82 @@ void CoreState::allocate(std::size_t n) {
   items_ = std::make_unique<OmItem[]>(n_);
 }
 
-void CoreState::initialize(DynamicGraph& g, const Options& opts) {
-  allocate(g.num_vertices());
-
-  Decomposition d = bz_decompose(g);
-  max_core_.store(d.max_core, std::memory_order_relaxed);
-
-  levels_.clear();
-  levels_.configure(opts.om_group_capacity);
-  levels_.ensure_capacity(static_cast<std::size_t>(d.max_core) + 2);
-
-  std::vector<std::size_t> rank(n_);
-  for (std::size_t i = 0; i < d.peel_order.size(); ++i)
-    rank[d.peel_order[i]] = i;
-
-  for (VertexId v = 0; v < n_; ++v) {
-    core_[v].core.store(d.core[v], std::memory_order_relaxed);
-    t_[v].store(0, std::memory_order_relaxed);
-    s_[v].store(0, std::memory_order_relaxed);
-    items_[v].vertex = v;
-  }
-
-  // Build O_k lists by appending in peel order (core values along the
-  // peel order are non-decreasing, so each list receives its vertices in
-  // k-order).
-  for (VertexId v : d.peel_order) {
-    OrderList& list = levels_.get_or_create(d.core[v]);
-    list.insert_tail(&items_[v]);
-  }
-
-  // d+out(v) = # neighbours peeled after v; mcd(v) per Definition 3.8;
-  // the same pass partitions adj(v) at floor(v) = core(v) - 1.
-  for (VertexId v = 0; v < n_; ++v) {
-    CoreValue out = 0, m = 0;
-    const CoreValue f = d.core[v] - 1;
-    g.repartition(v, [&](VertexId u) {
-      if (rank[u] > rank[v]) ++out;
-      if (d.core[u] >= d.core[v]) ++m;
-      return d.core[u] >= f;
-    });
-    dout_[v].store(out, std::memory_order_relaxed);
-    mcd_[v].store(m, std::memory_order_relaxed);
-    core_[v].floor.store(f, std::memory_order_relaxed);
-  }
-}
-
-void CoreState::initialize_parallel(DynamicGraph& g, ThreadTeam& team,
-                                    int workers, const Options& opts) {
-  allocate(g.num_vertices());
-
-  BulkDecomposition d = parallel_decompose(g, team, workers);
-  max_core_.store(d.max_core, std::memory_order_relaxed);
-
-  levels_.clear();
-  levels_.configure(opts.om_group_capacity);
-  levels_.ensure_capacity(static_cast<std::size_t>(d.max_core) + 2);
-
-  std::vector<std::size_t> rank(n_);
-  for (std::size_t i = 0; i < d.order.size(); ++i) rank[d.order[i]] = i;
-
-  parallel_for(team, workers, 0, n_, [&](std::size_t i) {
-    const auto v = static_cast<VertexId>(i);
-    core_[v].core.store(d.core[v], std::memory_order_relaxed);
-    t_[v].store(0, std::memory_order_relaxed);
-    s_[v].store(0, std::memory_order_relaxed);
-    items_[v].vertex = v;
-  });
-
-  // The O_k appends mutate shared OM groups; they stay sequential (the
-  // peel order is already level-ascending, so each list receives its
-  // vertices in k-order, exactly like the BZ path).
-  for (VertexId v : d.order) {
-    OrderList& list = levels_.get_or_create(d.core[v]);
-    list.insert_tail(&items_[v]);
-  }
-
-  // d+out / mcd / the partition at floor(v) are per-vertex passes that
-  // write only v's own list; the O(m) pass is the second-largest
-  // cold-start cost after the peel.
-  parallel_for(team, workers, 0, n_, [&](std::size_t i) {
-    const auto v = static_cast<VertexId>(i);
-    CoreValue out = 0, m = 0;
-    const CoreValue f = d.core[v] - 1;
-    g.repartition(v, [&](VertexId u) {
-      if (rank[u] > rank[v]) ++out;
-      if (d.core[u] >= d.core[v]) ++m;
-      return d.core[u] >= f;
-    });
-    dout_[v].store(out, std::memory_order_relaxed);
-    mcd_[v].store(m, std::memory_order_relaxed);
-    core_[v].floor.store(f, std::memory_order_relaxed);
-  });
-}
-
-bool CoreState::initialize_from_order(DynamicGraph& g,
-                                      const SavedCoreOrder& saved,
-                                      const Options& opts,
-                                      std::string* error) {
+bool CoreState::install(DynamicGraph& g, std::span<const CoreValue> cores,
+                        std::span<const VertexId> order, const Options& opts,
+                        std::string* error) {
   auto fail = [&](const std::string& msg) {
     if (error) *error = msg;
     return false;
   };
   const std::size_t n = g.num_vertices();
-  if (saved.core.size() != n || saved.order.size() != n)
-    return fail("saved state sized for " + std::to_string(saved.core.size()) +
-                "/" + std::to_string(saved.order.size()) +
+  if (cores.size() != n || order.size() != n)
+    return fail("saved state sized for " + std::to_string(cores.size()) +
+                "/" + std::to_string(order.size()) +
                 " vertices, graph has " + std::to_string(n));
 
-  allocate(n);
-  for (VertexId v = 0; v < n_; ++v) {
-    t_[v].store(0, std::memory_order_relaxed);
-    s_[v].store(0, std::memory_order_relaxed);
-    core_[v].floor.store(kFloorDirty, std::memory_order_relaxed);
-    items_[v].vertex = v;
-  }
-
-  // The order must be a permutation with non-decreasing cores along it
-  // (a level-ascending concatenation); appending in saved order then
-  // reproduces each O_k exactly.
-  std::vector<std::size_t> rank(n_);
-  std::vector<bool> seen(n_, false);
+  // The order must be a permutation whose cores, from 0 up, never
+  // decrease along it (a level-ascending concatenation); appending in
+  // order then fills each O_k in k-order.
+  std::vector<std::size_t> rank(n);
+  std::vector<bool> seen(n, false);
   CoreValue prev = 0;
-  for (std::size_t i = 0; i < saved.order.size(); ++i) {
-    const VertexId v = saved.order[i];
-    if (v >= n_ || seen[v])
+  for (std::size_t i = 0; i < n; ++i) {
+    const VertexId v = order[i];
+    if (v >= n || seen[v])
       return fail("order is not a permutation (entry " + std::to_string(i) +
                   ")");
     seen[v] = true;
     rank[v] = i;
-    const CoreValue k = saved.core[v];
-    if (k < 0 || k < prev)
+    if (cores[v] < prev)
       return fail("cores along the saved order decrease at entry " +
                   std::to_string(i));
-    prev = k;
+    prev = cores[v];
   }
-  const CoreValue maxk = n_ > 0 ? saved.core[saved.order.back()] : 0;
-  max_core_.store(maxk, std::memory_order_relaxed);
+  const CoreValue maxk = prev;
 
   levels_.clear();
+  allocate(n);
+  max_core_.store(maxk, std::memory_order_relaxed);
   levels_.configure(opts.om_group_capacity);
   levels_.ensure_capacity(static_cast<std::size_t>(maxk) + 2);
-  for (VertexId v : saved.order) {
-    core_[v].core.store(saved.core[v], std::memory_order_relaxed);
-    levels_.get_or_create(saved.core[v]).insert_tail(&items_[v]);
+  for (VertexId v : order) {
+    core_[v].core.store(cores[v], std::memory_order_relaxed);
+    items_[v].vertex = v;
+    levels_.get_or_create(cores[v]).insert_tail(&items_[v]);
   }
 
-  // dout from the restored ranks, mcd from the restored cores — the same
-  // definitions initialize() computes from the peel order. The k-order
-  // bound dout <= core and the coreness lower bound mcd >= core must
-  // hold for any valid saved state; violating either means the file
-  // (though CRC-clean) does not describe this graph.
+  // d+out(v) = # neighbours after v in the order; mcd(v) per Definition
+  // 3.8; the same pass partitions adj(v) at floor(v). The k-order bound
+  // dout <= core and the coreness lower bound mcd >= core hold for any
+  // valid image; violating either means it (though CRC-clean, if read
+  // from a checkpoint) does not describe this graph.
   for (VertexId v = 0; v < n_; ++v) {
     CoreValue out = 0, m = 0;
-    const CoreValue f = saved.core[v] - 1;
+    const CoreValue f = cores[v] - 1;
     g.repartition(v, [&](VertexId u) {
       if (rank[u] > rank[v]) ++out;
-      if (saved.core[u] >= saved.core[v]) ++m;
-      return saved.core[u] >= f;
+      if (cores[u] >= cores[v]) ++m;
+      return cores[u] >= f;
     });
-    if (out > saved.core[v])
+    if (out > cores[v])
       return fail("vertex " + std::to_string(v) + " violates the k-order " +
                   "bound (dout " + std::to_string(out) + " > core " +
-                  std::to_string(saved.core[v]) + ")");
-    if (m < saved.core[v])
+                  std::to_string(cores[v]) + ")");
+    if (m < cores[v])
       return fail("vertex " + std::to_string(v) + " has mcd " +
-                  std::to_string(m) + " < core " +
-                  std::to_string(saved.core[v]));
+                  std::to_string(m) + " < core " + std::to_string(cores[v]));
     dout_[v].store(out, std::memory_order_relaxed);
     mcd_[v].store(m, std::memory_order_relaxed);
     core_[v].floor.store(f, std::memory_order_relaxed);
   }
   return true;
+}
+
+void CoreState::initialize(DynamicGraph& g, const Options& opts) {
+  const Decomposition d = bz_decompose(g);
+  std::string err;
+  if (!install(g, d.core, d.peel_order, opts, &err))
+    throw std::logic_error("bz_decompose yielded an invalid k-order: " + err);
 }
 
 SavedCoreOrder CoreState::save_order() const {

@@ -9,6 +9,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,6 @@
 #include "sync/annotations.h"
 #include "sync/mutex.h"
 #include "sync/spinlock.h"
-#include "sync/thread_team.h"
 
 namespace parcore {
 
@@ -69,8 +69,8 @@ class LevelDirectory {
 /// numbers plus the global k-order (the per-level order lists
 /// concatenated ascending by level, so core values along `order` are
 /// non-decreasing). This is exactly what a durability checkpoint stores
-/// (io/pcg.h PcgCheckpoint) — restoring it rebuilds dout/mcd from the
-/// order alone, skipping bz_decompose entirely.
+/// (io/pcg.h PcgCheckpoint) — CoreState::install rebuilds dout/mcd
+/// from the order alone, skipping bz_decompose entirely.
 struct SavedCoreOrder {
   std::vector<CoreValue> core;
   std::vector<VertexId> order;
@@ -87,34 +87,26 @@ class CoreState {
     std::uint32_t om_group_capacity = 64;
   };
 
-  /// Every initializer also partitions each adjacency list in its
-  /// dout/mcd pass: the prefix of adj(v) gets the neighbours with core
-  /// >= floor(v) = core(v) - 1 (DESIGN.md §3.1), so `g` is reordered.
+  /// The one state builder: installs a (core, k-order) image — from
+  /// bz_decompose, the bulk peel or a durability checkpoint — as this
+  /// state. Allocates the per-vertex fields, fills each O_k by
+  /// appending in `order`, computes dout from the order ranks and mcd
+  /// from `cores`, and partitions each adjacency list at floor(v) =
+  /// core(v) - 1 in the same pass (DESIGN.md §3.1), so `g` is
+  /// reordered. Validates every image: sizes, `order` a permutation,
+  /// cores non-negative and non-decreasing along it, dout <= core and
+  /// mcd >= core. On violation returns false with a diagnostic in
+  /// `error` and leaves the state unusable until the next install.
+  /// Whether the cores are CORRECT for `g` is not (and cannot cheaply
+  /// be) checked here — recovery differentially verifies against a
+  /// decomposition instead.
+  bool install(DynamicGraph& g, std::span<const CoreValue> cores,
+               std::span<const VertexId> order, const Options& opts,
+               std::string* error);
+
+  /// bz_decompose(g), then install its image.
   void initialize(DynamicGraph& g, const Options& opts);
   void initialize(DynamicGraph& g) { initialize(g, Options()); }
-
-  /// initialize(), but the cold-start decomposition runs multi-threaded
-  /// (decomp/parallel_peel.h, exact mode) and the dout/mcd rebuild is
-  /// parallelised over `team`. The parallel peel's (level, sub-round,
-  /// id) order is a valid k-order instance (DESIGN.md §12.2), so the
-  /// resulting state passes the same invariant suite as the BZ path —
-  /// it is just a different (deterministic) k-order pick. `workers` is
-  /// clamped to the team.
-  void initialize_parallel(DynamicGraph& g, ThreadTeam& team, int workers,
-                           const Options& opts);
-
-  /// Rebuilds the full state from a saved (core, k-order) pair instead
-  /// of running bz_decompose: O_k lists are filled by appending in the
-  /// saved order, dout comes from the order ranks and mcd from the
-  /// saved cores. Validates shape (sizes, permutation, non-decreasing
-  /// cores along the order) and the structural invariants dout <= core
-  /// and mcd >= core; on violation returns false with a diagnostic in
-  /// `error` and leaves the state unusable (re-initialize before use).
-  /// Whether the saved cores are CORRECT for `g` is not (and cannot
-  /// cheaply be) checked here — recovery differentially verifies
-  /// against bz_decompose instead.
-  bool initialize_from_order(DynamicGraph& g, const SavedCoreOrder& saved,
-                             const Options& opts, std::string* error);
 
   /// The serializable image of the current state (quiescent only).
   SavedCoreOrder save_order() const;

@@ -35,27 +35,24 @@ ParallelOrderMaintainer::ParallelOrderMaintainer(DynamicGraph& g,
                                                  Options opts)
     : graph_(g), team_(team), opts_(opts) {
   ctxs_.resize(static_cast<std::size_t>(team_.max_workers()));
-  if (opts_.restore != nullptr) {
-    std::string err;
-    if (!state_.initialize_from_order(graph_, *opts_.restore, opts_.state,
-                                      &err))
-      throw std::runtime_error("cannot restore saved core order: " + err);
-    opts_.restore = nullptr;  // construction-time only; never dangles
-    mark_.assign(graph_.num_vertices(), 0);
-    epoch_ = 0;
-    changed_mark_.assign(graph_.num_vertices(), 0);
-    changed_epoch_ = 0;
-    last_changed_.clear();
+  if (opts_.restore == nullptr) {
+    rebuild();
     return;
   }
-  rebuild();
+  std::string err;
+  if (!state_.install(graph_, opts_.restore->core, opts_.restore->order,
+                      opts_.state, &err))
+    throw std::runtime_error("cannot restore saved core order: " + err);
+  opts_.restore = nullptr;  // construction-time only; never dangles
+  reset_marks();
 }
 
-void ParallelOrderMaintainer::rebuild(int workers) {
-  if (workers > 0)
-    state_.initialize_parallel(graph_, team_, workers, opts_.state);
-  else
-    state_.initialize(graph_, opts_.state);
+void ParallelOrderMaintainer::rebuild() {
+  state_.initialize(graph_, opts_.state);
+  reset_marks();
+}
+
+void ParallelOrderMaintainer::reset_marks() {
   mark_.assign(graph_.num_vertices(), 0);
   epoch_ = 0;
   changed_mark_.assign(graph_.num_vertices(), 0);

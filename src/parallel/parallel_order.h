@@ -52,7 +52,7 @@ class ParallelOrderMaintainer {
     /// image instead of running bz_decompose — the durability recovery
     /// path (docs/DURABILITY.md). Read during construction only (the
     /// pointer is not retained); the image must match the graph or the
-    /// constructor throws. rebuild() always re-decomposes from scratch.
+    /// constructor throws. rebuild() always re-decomposes with BZ.
     const SavedCoreOrder* restore = nullptr;
   };
 
@@ -62,13 +62,9 @@ class ParallelOrderMaintainer {
       : ParallelOrderMaintainer(g, team, Options()) {}
 
   /// (Re)initialises cores/k-order/dout/mcd from the current graph:
-  /// with the sequential BZ peel when `workers` is 0 (the constructor's
-  /// path), else with the bulk parallel decomposition
-  /// (decomp/parallel_peel.h, exact mode) on `workers` workers. Both
-  /// produce valid k-order instances; they just pick different
-  /// (deterministic) ones. The engine's self-healing repair passes its
-  /// flush workers.
-  void rebuild(int workers = 0);
+  /// bz_decompose, then CoreState::install. The engine's self-healing
+  /// repair calls it.
+  void rebuild();
 
   /// OurI: inserts a batch with `workers` parallel workers.
   BatchResult insert_batch(std::span<const Edge> edges, int workers);
@@ -194,6 +190,8 @@ class ParallelOrderMaintainer {
 
   void repair_dout_after_removal(int workers);
   void collect_changed();
+  /// Clears the epoch-marked dedup state after a new state install.
+  void reset_marks();
 
   /// Locks a and b together (no hold-and-wait; Alg. 7/8 line 1) and
   /// returns true with both held — unbalanced by design, hence exempt.

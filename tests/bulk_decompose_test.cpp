@@ -1,11 +1,15 @@
 // Differential suite for the parallel bulk decomposition (DESIGN.md
 // §12): the exact peel must be bit-identical to BZ (cores) and emit a
-// valid k-order, deterministically across worker counts. Plus the
-// three consumers: CoreState::initialize_parallel, the maintainer's
-// parallel rebuild, and the engine's background re-verifier.
+// valid k-order, deterministically across worker counts. Every image
+// source — the peel, BZ and a maintained state's save_order() — goes
+// through the one installer, CoreState::install; the maintainer is
+// exercised from a peel-ordered start. Plus the peel's verification
+// consumers: recovery verify and the engine's background re-verifier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -25,23 +29,25 @@ namespace {
 
 using test::Family;
 
-// Feeds (core, order) through the restore-path validator, which checks
+// Feeds (core, order) through CoreState::install, which checks
 // permutation shape, non-decreasing cores along the order, dout <= core
 // and mcd >= core — the properties that make an order a k-order
 // instance — then runs the full invariant suite including core
-// correctness. The restore path partitions g's adjacency lists in place.
-void expect_valid_korder(DynamicGraph& g, const BulkDecomposition& d,
+// correctness, checks the adjacency prefix the install partitioned (in
+// g, in place), and that save_order() hands back exactly this image.
+void expect_valid_korder(DynamicGraph& g, std::span<const CoreValue> core,
+                         std::span<const VertexId> order,
                          const std::string& context) {
-  SavedCoreOrder saved;
-  saved.core = d.core;
-  saved.order = d.order;
   CoreState state;
   std::string err;
-  ASSERT_TRUE(state.initialize_from_order(g, saved, CoreState::Options{},
-                                          &err))
+  ASSERT_TRUE(state.install(g, core, order, CoreState::Options{}, &err))
       << context << ": " << err;
   EXPECT_TRUE(state.check_invariants(g, &err, /*check_cores=*/true))
       << context << ": " << err;
+  EXPECT_TRUE(state.check_prefix(g, &err)) << context << ": " << err;
+  const SavedCoreOrder saved = state.save_order();
+  EXPECT_TRUE(std::ranges::equal(saved.order, order)) << context;
+  EXPECT_TRUE(std::ranges::equal(saved.core, core)) << context;
 }
 
 class BulkDecomposeFamily
@@ -67,7 +73,7 @@ TEST_P(BulkDecomposeFamily, ExactMatchesBzAcrossWorkers) {
     ASSERT_EQ(d.order.size(), n) << base;
     if (workers == 1) {
       first = d;
-      expect_valid_korder(g, d, base);
+      expect_valid_korder(g, d.core, d.order, base);
     } else {
       // Determinism: the frontier sequence is fixed by the barrier
       // structure, not the schedule, so the ORDER (not just the cores)
@@ -76,6 +82,7 @@ TEST_P(BulkDecomposeFamily, ExactMatchesBzAcrossWorkers) {
       EXPECT_EQ(d.rounds, first.rounds) << base << " workers " << workers;
     }
   }
+  expect_valid_korder(g, expect.core, expect.peel_order, base + " bz");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -110,35 +117,41 @@ TEST(BulkDecompose, DisconnectedComponentsAndIsolates) {
   const BulkDecomposition d = parallel_decompose(g, team, 4);
   const Decomposition expect = bz_decompose(g);
   EXPECT_EQ(d.core, expect.core);
-  expect_valid_korder(g, d, "disconnected");
+  expect_valid_korder(g, d.core, d.order, "disconnected");
+  expect_valid_korder(g, expect.core, expect.peel_order, "disconnected bz");
 }
 
-TEST(CoreStateParallelInit, MatchesSequentialInvariants) {
-  for (Family family : {Family::kEr, Family::kBa, Family::kRmat}) {
-    Rng rng(0xc0de + static_cast<std::uint64_t>(family));
-    const std::size_t n = 400;
-    auto g = DynamicGraph::from_edges(n, test::family_edges(family, n, rng));
-    ThreadTeam team(4);
-    CoreState state;
-    state.initialize_parallel(g, team, 4, CoreState::Options{});
-    std::string err;
-    EXPECT_TRUE(state.check_invariants(g, &err, /*check_cores=*/true))
-        << test::family_name(family) << ": " << err;
-    // Cores agree with the sequential init even though the k-order
-    // instance differs.
-    CoreState seq;
-    seq.initialize(g);
-    for (VertexId v = 0; v < static_cast<VertexId>(n); ++v)
-      EXPECT_EQ(state.core(v).load(), seq.core(v).load());
-  }
+// A maintained state is a valid k-order too: its save_order() after
+// mixed insert/remove batches installs, and installs back to itself.
+TEST(BulkDecompose, MaintainedImageInstallsAfterMixedBatches) {
+  test::Workload w = test::make_workload(Family::kRmat, 500, 0.2, 0x1a57);
+  DynamicGraph g = DynamicGraph::from_edges(w.n, w.base);
+  ThreadTeam team(4);
+  ParallelOrderMaintainer m(g, team);
+  const std::size_t half = w.batch.size() / 2;
+  const std::span<const Edge> batch(w.batch);
+  m.insert_batch(batch, 4);
+  m.remove_batch(batch.first(half), 4);
+  m.remove_batch(std::span<const Edge>(w.base).first(w.base.size() / 4), 4);
+  m.insert_batch(batch.first(half / 2), 4);
+  const SavedCoreOrder saved = m.state().save_order();
+  DynamicGraph copy = g;
+  expect_valid_korder(copy, saved.core, saved.order, "maintained");
 }
 
 TEST(MaintainerParallelInit, MaintainsAfterParallelColdStart) {
   test::Workload w = test::make_workload(Family::kEr, 500, 0.15, 0x5eed);
   DynamicGraph g = DynamicGraph::from_edges(w.n, w.base);
   ThreadTeam team(4);
-  ParallelOrderMaintainer m(g, team);
-  m.rebuild(4);  // replace the BZ k-order with the parallel peel's
+  // Start from the peel's k-order instead of BZ's: OurI/OurR must
+  // maintain from any valid k-order (Definition 3.5).
+  const BulkDecomposition d = parallel_decompose(g, team, 4);
+  ASSERT_NE(d.order, bz_decompose(g).peel_order);
+  const SavedCoreOrder peel{d.core, d.order};
+  ParallelOrderMaintainer::Options opts;
+  opts.restore = &peel;
+  ParallelOrderMaintainer m(g, team, opts);
+  ASSERT_EQ(m.state().save_order().order, d.order);
 
   m.insert_batch(w.batch, 4);
   {

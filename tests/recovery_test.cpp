@@ -28,6 +28,7 @@
 #include "durability/wal.h"
 #include "engine/engine.h"
 #include "io/io_error.h"
+#include "maint/core_state.h"
 #include "test_util.h"
 
 namespace parcore {
@@ -170,6 +171,56 @@ TEST(Restore, RejectsCorruptImages) {
   SavedCoreOrder short_order = good;
   short_order.order.pop_back();
   expect_rejected(std::move(short_order), "short order vector");
+
+  // The remaining rejection branches, each with its diagnostic. A
+  // rejected install leaves one reused CoreState unusable; the good
+  // image must then install over it and pass the full suite.
+  CoreState reused;
+  auto expect_diagnostic = [&](const SavedCoreOrder& bad,
+                               const std::string& diagnostic) {
+    ParallelOrderMaintainer::Options opts;
+    opts.restore = &bad;
+    DynamicGraph copy = g;
+    try {
+      ParallelOrderMaintainer rejected(copy, team, opts);
+      ADD_FAILURE() << "accepted an image that should fail: " << diagnostic;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(diagnostic), std::string::npos)
+          << e.what();
+    }
+    std::string err;
+    EXPECT_FALSE(reused.install(copy, bad.core, bad.order, {}, &err));
+    EXPECT_EQ(err, diagnostic);
+    ASSERT_TRUE(reused.install(copy, good.core, good.order, {}, &err)) << err;
+    EXPECT_TRUE(reused.check_invariants(copy, &err, /*check_cores=*/true))
+        << diagnostic << ": " << err;
+    EXPECT_TRUE(reused.check_prefix(copy, &err)) << diagnostic << ": " << err;
+  };
+
+  // The path tail {5, 6, 7} is level 1, the first three entries.
+  ASSERT_EQ(good.core[5], 1);
+  ASSERT_EQ(good.core[6], 1);
+  ASSERT_EQ(good.core[7], 1);
+
+  SavedCoreOrder negative = good;
+  negative.core[negative.order.front()] = -1;
+  expect_diagnostic(negative, "cores along the saved order decrease at entry 0");
+
+  // Level-ascending, but 6 precedes both its neighbours: dout(6) = 2.
+  SavedCoreOrder dout_bound = good;
+  dout_bound.order[0] = 6;
+  dout_bound.order[1] = 5;
+  dout_bound.order[2] = 7;
+  expect_diagnostic(dout_bound,
+                    "vertex 6 violates the k-order bound (dout 2 > core 1)");
+
+  // The last clique vertex claims core 5: no neighbour reaches it.
+  SavedCoreOrder overclaim = good;
+  const VertexId top = overclaim.order.back();
+  ASSERT_EQ(overclaim.core[top], 4);
+  overclaim.core[top] = 5;
+  expect_diagnostic(overclaim,
+                    "vertex " + std::to_string(top) + " has mcd 0 < core 5");
 }
 
 // ---------------------------------------------------- engine + recover
