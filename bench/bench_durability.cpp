@@ -20,9 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "graph/edge_list.h"
 #include "harness.h"
-#include "io/graph_reader.h"
 
 using namespace parcore;
 using namespace parcore::bench;
@@ -69,26 +67,7 @@ int main() {
   const BenchEnv env = bench_env();
   const std::size_t ops_total = env.fast ? 50000 : 400000;
 
-  std::string graph_name;
-  std::size_t num_vertices = 0;
-  std::vector<Edge> all;
-  if (!env.input.empty()) {
-    io::GraphData data = io::read_graph(env.input);
-    graph_name = env.input;
-    num_vertices = data.num_vertices;
-    all = io::static_edges(data);
-  } else {
-    SuiteSpec spec = scalability_suite().front();
-    SuiteGraph sg = build_suite_graph(spec, env.scale);
-    graph_name = spec.name;
-    num_vertices = sg.num_vertices;
-    all = sg.edges;
-    for (const auto& te : sg.temporal) all.push_back(te.e);
-    canonicalize_edges(all);
-  }
-  std::vector<Edge> base(all.begin(),
-                         all.begin() + static_cast<std::ptrdiff_t>(
-                                           all.size() / 2));
+  const EngineEdgePool pool = engine_edge_pool(env);
 
   const int producers = 2;
   const std::vector<int> worker_counts =
@@ -101,10 +80,10 @@ int main() {
 
   ThreadTeam team(env.max_workers);
   const std::vector<std::vector<GraphUpdate>> streams =
-      producer_update_streams(all, producers, ops_total);
+      producer_update_streams(pool.edges, producers, ops_total);
 
   std::printf("== durability overhead: %s (n=%zu, base m=%zu, %zu ops) ==\n\n",
-              graph_name.c_str(), num_vertices, base.size(), ops_total);
+              pool.name.c_str(), pool.n, pool.base.size(), ops_total);
 
   Json rows = Json::array();
   Table table({"mode", "workers", "kups", "epochs", "p99 flush ms",
@@ -117,7 +96,7 @@ int main() {
       opts.flush_threshold = 2048;
       opts.flush_interval_ms = 2.0;
       EngineCellResult r =
-          run_mode_cell(mode, num_vertices, base, streams, team, opts);
+          run_mode_cell(mode, pool.n, pool.base, streams, team, opts);
       const auto& d = r.stats.durability;
       const double p99_ms =
           static_cast<double>(r.stats.flush_us.quantile_upper(0.99)) / 1000.0;
@@ -154,7 +133,7 @@ int main() {
   // WAL price dominates, which is what the gate is about).
   const std::size_t pair_ops = std::max<std::size_t>(ops_total, 400000);
   const std::vector<std::vector<GraphUpdate>> pair_streams =
-      producer_update_streams(all, producers, pair_ops);
+      producer_update_streams(pool.edges, producers, pair_ops);
   double best_off = 0.0, best_on = 0.0;
   {
     engine::StreamingEngine::Options opts;
@@ -163,11 +142,11 @@ int main() {
     opts.flush_interval_ms = 2.0;
     for (int rep = 0; rep < 3; ++rep) {
       best_off = std::max(
-          best_off, run_mode_cell(modes[0], num_vertices, base,
+          best_off, run_mode_cell(modes[0], pool.n, pool.base,
                                   pair_streams, team, opts)
                         .updates_per_sec);
       best_on = std::max(
-          best_on, run_mode_cell(modes[1], num_vertices, base,
+          best_on, run_mode_cell(modes[1], pool.n, pool.base,
                                  pair_streams, team, opts)
                        .updates_per_sec);
     }
@@ -179,9 +158,9 @@ int main() {
 
   Json payload = Json::object()
                      .set("bench", "durability")
-                     .set("graph", graph_name)
-                     .set("n", std::uint64_t{num_vertices})
-                     .set("base_edges", std::uint64_t{base.size()})
+                     .set("graph", pool.name)
+                     .set("n", std::uint64_t{pool.n})
+                     .set("base_edges", std::uint64_t{pool.base.size()})
                      .set("ops_total", std::uint64_t{ops_total})
                      .set("scale", env.scale)
                      .set("wal_overhead",

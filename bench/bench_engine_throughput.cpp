@@ -20,9 +20,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "graph/edge_list.h"
 #include "harness.h"
-#include "io/graph_reader.h"
 #include "obs/export.h"
 
 using namespace parcore;
@@ -45,26 +43,7 @@ int main() {
   // Default workload: skewed power-law stand-in, the shape where
   // coalescing pays (hot edges are resubmitted and cancelled
   // constantly). PARCORE_BENCH_INPUT swaps in a real dataset.
-  std::string graph_name;
-  std::size_t num_vertices = 0;
-  std::vector<Edge> all;
-  if (!env.input.empty()) {
-    io::GraphData data = io::read_graph(env.input);
-    graph_name = env.input;
-    num_vertices = data.num_vertices;
-    all = io::static_edges(data);
-  } else {
-    SuiteSpec spec = scalability_suite().front();
-    SuiteGraph sg = build_suite_graph(spec, env.scale);
-    graph_name = spec.name;
-    num_vertices = sg.num_vertices;
-    all = sg.edges;
-    for (const auto& te : sg.temporal) all.push_back(te.e);
-    canonicalize_edges(all);
-  }
-  std::vector<Edge> base(all.begin(),
-                         all.begin() + static_cast<std::ptrdiff_t>(
-                                           all.size() / 2));
+  const EngineEdgePool pool = engine_edge_pool(env);
 
   const std::vector<int> producer_counts{1, 2, 4};
   std::vector<int> worker_counts = worker_sweep(std::min(env.max_workers, 8));
@@ -77,7 +56,7 @@ int main() {
   ThreadTeam team(env.max_workers);
 
   std::printf("== engine throughput: %s (n=%zu, base m=%zu, %zu ops) ==\n\n",
-              graph_name.c_str(), num_vertices, base.size(), ops_total);
+              pool.name.c_str(), pool.n, pool.base.size(), ops_total);
 
   Json rows = Json::array();
   Table table({"policy", "producers", "workers", "kups", "epochs",
@@ -86,7 +65,7 @@ int main() {
   for (const Policy& policy : policies) {
     for (int producers : producer_counts) {
       const std::vector<std::vector<GraphUpdate>> streams =
-          producer_update_streams(all, producers, ops_total);
+          producer_update_streams(pool.edges, producers, ops_total);
       for (int workers : worker_counts) {
         engine::StreamingEngine::Options opts;
         opts.workers = workers;
@@ -94,7 +73,7 @@ int main() {
         opts.adaptive = policy.adaptive;
         opts.flush_interval_ms = 2.0;
         EngineCellResult r =
-            run_engine_cell(num_vertices, base, streams, team, opts);
+            run_engine_cell(pool.n, pool.base, streams, team, opts);
         const double p50_ms =
             static_cast<double>(r.stats.flush_us.quantile_upper(0.5)) / 1000.0;
         const double p99_ms =
@@ -120,7 +99,7 @@ int main() {
   double best_off = 0.0, best_on = 0.0;
   {
     const std::vector<std::vector<GraphUpdate>> streams =
-        producer_update_streams(all, 2, ops_total);
+        producer_update_streams(pool.edges, 2, ops_total);
     engine::StreamingEngine::Options off;
     off.workers = std::min(env.max_workers, 4);
     off.flush_threshold = 2048;
@@ -134,12 +113,12 @@ int main() {
     for (int rep = 0; rep < 3; ++rep) {
       best_off = std::max(
           best_off,
-          run_engine_cell(num_vertices, base, streams, team, off)
+          run_engine_cell(pool.n, pool.base, streams, team, off)
               .updates_per_sec);
       trace_lines.clear();
       best_on = std::max(
           best_on,
-          run_engine_cell(num_vertices, base, streams, team, on)
+          run_engine_cell(pool.n, pool.base, streams, team, on)
               .updates_per_sec);
     }
   }
@@ -150,9 +129,9 @@ int main() {
 
   Json payload = Json::object()
                      .set("bench", "engine_throughput")
-                     .set("graph", graph_name)
-                     .set("n", std::uint64_t{num_vertices})
-                     .set("base_edges", std::uint64_t{base.size()})
+                     .set("graph", pool.name)
+                     .set("n", std::uint64_t{pool.n})
+                     .set("base_edges", std::uint64_t{pool.base.size()})
                      .set("ops_total", std::uint64_t{ops_total})
                      .set("scale", env.scale)
                      .set("obs_overhead",

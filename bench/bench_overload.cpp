@@ -22,9 +22,7 @@
 #include <thread>
 #include <vector>
 
-#include "graph/edge_list.h"
 #include "harness.h"
-#include "io/graph_reader.h"
 
 using namespace parcore;
 using namespace parcore::bench;
@@ -42,26 +40,7 @@ int main() {
   const BenchEnv env = bench_env();
   const std::size_t ops_total = env.fast ? 50000 : 400000;
 
-  std::string graph_name;
-  std::size_t num_vertices = 0;
-  std::vector<Edge> all;
-  if (!env.input.empty()) {
-    io::GraphData data = io::read_graph(env.input);
-    graph_name = env.input;
-    num_vertices = data.num_vertices;
-    all = io::static_edges(data);
-  } else {
-    SuiteSpec spec = scalability_suite().front();
-    SuiteGraph sg = build_suite_graph(spec, env.scale);
-    graph_name = spec.name;
-    num_vertices = sg.num_vertices;
-    all = sg.edges;
-    for (const auto& te : sg.temporal) all.push_back(te.e);
-    canonicalize_edges(all);
-  }
-  std::vector<Edge> base(all.begin(),
-                         all.begin() + static_cast<std::ptrdiff_t>(
-                                           all.size() / 2));
+  const EngineEdgePool pool = engine_edge_pool(env);
 
   const int producers = 4;
   const int workers = std::min(env.max_workers, 4);
@@ -76,11 +55,11 @@ int main() {
 
   ThreadTeam team(std::max(env.max_workers, producers));
   const std::vector<std::vector<GraphUpdate>> streams =
-      producer_update_streams(all, producers, ops_total);
+      producer_update_streams(pool.edges, producers, ops_total);
 
   std::printf(
       "== overload admission: %s (n=%zu, base m=%zu, %zu ops) ==\n\n",
-      graph_name.c_str(), num_vertices, base.size(), ops_total);
+      pool.name.c_str(), pool.n, pool.base.size(), ops_total);
 
   Json rows = Json::array();
   Table table({"mode", "cap", "kups", "epochs", "p99 flush ms", "shed",
@@ -94,7 +73,7 @@ int main() {
     opts.flush_interval_ms = 2.0;
     opts.ingest_cap = cap;
     opts.overload = policy;
-    EngineCellResult r = run_engine_cell(num_vertices, base, streams, team,
+    EngineCellResult r = run_engine_cell(pool.n, pool.base, streams, team,
                                          opts);
     const auto& adm = r.stats.admission;
     const double p99_ms =
@@ -146,10 +125,10 @@ int main() {
   // register compare (~0.3%).
   const std::size_t pair_ops = std::max<std::size_t>(ops_total, 2000000);
   const std::vector<GraphUpdate> pair_stream =
-      producer_update_streams(all, 1, pair_ops).front();
+      producer_update_streams(pool.edges, 1, pair_ops).front();
   constexpr std::size_t kPairBlock = 1024;
   auto submit_cell_min_ns = [&](std::size_t cap) {
-    DynamicGraph g = DynamicGraph::from_edges(num_vertices, base);
+    DynamicGraph g = DynamicGraph::from_edges(pool.n, pool.base);
     engine::StreamingEngine::Options opts;
     opts.workers = workers;
     opts.flush_threshold = 2048;
@@ -189,9 +168,9 @@ int main() {
 
   Json payload = Json::object()
                      .set("bench", "overload")
-                     .set("graph", graph_name)
-                     .set("n", std::uint64_t{num_vertices})
-                     .set("base_edges", std::uint64_t{base.size()})
+                     .set("graph", pool.name)
+                     .set("n", std::uint64_t{pool.n})
+                     .set("base_edges", std::uint64_t{pool.base.size()})
                      .set("ops_total", std::uint64_t{ops_total})
                      .set("scale", env.scale)
                      .set("admission_overhead",

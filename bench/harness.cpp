@@ -9,6 +9,7 @@
 
 #include "graph/edge_list.h"
 #include "io/graph_reader.h"
+#include "maint/seq_order.h"
 #include "support/env.h"
 #include "support/rng.h"
 
@@ -124,20 +125,112 @@ DynamicGraph base_graph(const PreparedWorkload& w) {
   return DynamicGraph::from_edges(w.n, w.base_edges);
 }
 
-AlgoTimes time_parallel_order(const PreparedWorkload& w, ThreadTeam& team,
-                              int workers, int reps) {
-  DynamicGraph g = base_graph(w);
-  ParallelOrderMaintainer m(g, team);
-  std::vector<double> ins, rem;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer t;
-    m.insert_batch(w.batch, workers);
-    ins.push_back(t.elapsed_ms());
-    t.reset();
-    m.remove_batch(w.batch, workers);
-    rem.push_back(t.elapsed_ms());
+const char* algo_name(Algo algo) {
+  switch (algo) {
+    case Algo::kOur: return "Our";
+    case Algo::kSeq: return "Seq";
+    case Algo::kJe: return "JE";
   }
-  return AlgoTimes{RunStats::from(ins), RunStats::from(rem)};
+  return "?";
+}
+
+namespace {
+
+// The timed loop shared by every maintainer. `insert`/`remove` apply
+// one group; `num_edges` reads the maintainer's edge count.
+template <typename M, typename Insert, typename Remove, typename NumEdges>
+TimedCell time_groups(const PreparedWorkload& w, const CellSpec& spec, M& m,
+                      Insert insert, Remove remove, NumEdges num_edges) {
+  const std::vector<std::vector<Edge>> groups =
+      split_batches(w.batch, spec.groups);
+  const std::vector<CoreValue> cores0 = m.cores();
+  const std::size_t edges0 = num_edges();
+  TimedCell r;
+  std::vector<double> ins, rem;
+  for (int rep = 0; rep < spec.reps; ++rep) {
+    for (const std::vector<Edge>& group : groups) {
+      WallTimer t;
+      insert(group);
+      ins.push_back(t.elapsed_ms());
+      if (ins.size() == 1) {
+        const std::vector<CoreValue> cores = m.cores();
+        r.max_core = cores.empty() ? 0 : std::ranges::max(cores);
+      }
+      t.reset();
+      remove(group);
+      rem.push_back(t.elapsed_ms());
+      if (!r.mismatch.empty()) continue;
+      if (num_edges() != edges0)
+        r.mismatch = "rep " + std::to_string(rep) + ": " +
+                     std::to_string(num_edges()) + " edges, base has " +
+                     std::to_string(edges0);
+      else if (m.cores() != cores0)
+        r.mismatch = "rep " + std::to_string(rep) + ": cores differ from base";
+    }
+  }
+  r.insert_ms = RunStats::from(ins);
+  r.remove_ms = RunStats::from(rem);
+  return r;
+}
+
+}  // namespace
+
+TimedCell time_cell(const PreparedWorkload& w, ThreadTeam& team,
+                    const CellSpec& spec) {
+  DynamicGraph g = base_graph(w);
+  const int workers = spec.workers;
+  auto graph_edges = [&g] { return g.num_edges(); };
+  switch (spec.algo) {
+    case Algo::kOur: {
+      ParallelOrderMaintainer::Options opts;
+      opts.collect_stats = spec.collect_stats;
+      ParallelOrderMaintainer m(g, team, opts);
+      TimedCell r = time_groups(
+          w, spec, m, [&](const auto& b) { m.insert_batch(b, workers); },
+          [&](const auto& b) { m.remove_batch(b, workers); }, graph_edges);
+      if (spec.collect_stats) {
+        r.vplus = m.insert_vplus_histogram();
+        r.vstar = m.remove_vstar_histogram();
+      }
+      return r;
+    }
+    case Algo::kSeq: {
+      SeqOrderMaintainer m(g);
+      return time_groups(
+          w, spec, m, [&](const auto& b) { m.insert_batch(b); },
+          [&](const auto& b) { m.remove_batch(b); }, graph_edges);
+    }
+    case Algo::kJe: {
+      JeMaintainer m(g, team);
+      return time_groups(
+          w, spec, m, [&](const auto& b) { m.insert_batch(b, workers); },
+          [&](const auto& b) { m.remove_batch(b, workers); },
+          [&m] { return m.graph().num_edges(); });
+    }
+  }
+  return {};
+}
+
+EngineEdgePool engine_edge_pool(const BenchEnv& env) {
+  EngineEdgePool pool;
+  if (!env.input.empty()) {
+    io::GraphData data = io::read_graph(env.input);
+    pool.name = env.input;
+    pool.n = data.num_vertices;
+    pool.edges = io::static_edges(data);
+  } else {
+    const SuiteSpec spec = scalability_suite().front();
+    SuiteGraph sg = build_suite_graph(spec, env.scale);
+    pool.name = spec.name;
+    pool.n = sg.num_vertices;
+    pool.edges = std::move(sg.edges);
+    for (const auto& te : sg.temporal) pool.edges.push_back(te.e);
+    canonicalize_edges(pool.edges);
+  }
+  pool.base.assign(pool.edges.begin(),
+                   pool.edges.begin() +
+                       static_cast<std::ptrdiff_t>(pool.edges.size() / 2));
+  return pool;
 }
 
 EngineCellResult run_engine_cell(
@@ -183,22 +276,6 @@ std::vector<std::vector<GraphUpdate>> producer_update_streams(
     streams.push_back(gen_update_stream(universe, per, 0.45, 0.6, rng));
   }
   return streams;
-}
-
-AlgoTimes time_je(const PreparedWorkload& w, ThreadTeam& team, int workers,
-                  int reps) {
-  DynamicGraph g = base_graph(w);
-  JeMaintainer m(g, team);
-  std::vector<double> ins, rem;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer t;
-    m.insert_batch(w.batch, workers);
-    ins.push_back(t.elapsed_ms());
-    t.reset();
-    m.remove_batch(w.batch, workers);
-    rem.push_back(t.elapsed_ms());
-  }
-  return AlgoTimes{RunStats::from(ins), RunStats::from(rem)};
 }
 
 Json& Json::set(const std::string& key, Json value) {

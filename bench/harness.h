@@ -1,5 +1,7 @@
 // Shared benchmark harness: environment knobs, workload preparation
-// (the paper's remove-then-reinsert protocol), algorithm timers and a
+// (the paper's remove-then-reinsert protocol), the checked maintainer
+// timer behind bench_paper (the one producer of the paper's numbers),
+// the engine benches' edge pool and cell, a JSON emitter and a
 // fixed-width table printer.
 //
 // Environment variables (full table: docs/CONFIG.md):
@@ -19,6 +21,7 @@
 
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +31,7 @@
 #include "gen/suite.h"
 #include "graph/dynamic_graph.h"
 #include "parallel/parallel_order.h"
+#include "support/histogram.h"
 #include "support/timer.h"
 #include "sync/thread_team.h"
 
@@ -74,18 +78,40 @@ std::vector<PreparedWorkload> suite_or_file_workloads(
 
 DynamicGraph base_graph(const PreparedWorkload& w);
 
-struct AlgoTimes {
-  RunStats insert_ms;
-  RunStats remove_ms;
+/// The maintainers the paper compares: OurI/OurR, the sequential
+/// Order algorithm (SeqI/SeqR, one worker) and JEI/JER.
+enum class Algo { kOur, kSeq, kJe };
+const char* algo_name(Algo algo);  // "Our", "Seq", "JE"
+
+struct CellSpec {
+  Algo algo = Algo::kOur;
+  int workers = 1;
+  int reps = 1;
+  /// The batch is split into this many disjoint contiguous groups, each
+  /// inserted then removed in turn (Fig. 6); one sample per group.
+  std::size_t groups = 1;
+  /// Our only: record the Fig. 1 |V+| / |V*| histograms.
+  bool collect_stats = false;
 };
 
-/// Times OurI/OurR on the prepared workload.
-AlgoTimes time_parallel_order(const PreparedWorkload& w, ThreadTeam& team,
-                              int workers, int reps);
+struct TimedCell {
+  RunStats insert_ms;
+  RunStats remove_ms;
+  /// Largest core after the first insert (one group: the whole graph's
+  /// max k).
+  CoreValue max_core = 0;
+  /// Empty when, after every insert+remove, the maintainer's cores and
+  /// edge count equal their values at construction; else what differed.
+  std::string mismatch;
+  /// Our with collect_stats: insert |V+| and remove |V*| sizes.
+  std::optional<SizeHistogram> vplus;
+  std::optional<SizeHistogram> vstar;
+};
 
-/// Times JEI/JER on the prepared workload.
-AlgoTimes time_je(const PreparedWorkload& w, ThreadTeam& team, int workers,
-                  int reps);
+/// Builds one maintainer over the workload's base graph and times
+/// `reps` insert+remove rounds of its batch, checking each round.
+TimedCell time_cell(const PreparedWorkload& w, ThreadTeam& team,
+                    const CellSpec& spec);
 
 /// One streaming-engine measurement cell, shared by the engine benches
 /// (engine throughput, durability, overload): builds a fresh
@@ -102,6 +128,19 @@ EngineCellResult run_engine_cell(
     std::size_t n, const std::vector<Edge>& base,
     const std::vector<std::vector<GraphUpdate>>& streams, ThreadTeam& team,
     const engine::StreamingEngine::Options& opts);
+
+/// The engine benches' edge pool: the PARCORE_BENCH_INPUT dataset, or
+/// the first scalability stand-in (skewed R-MAT, where coalescing pays)
+/// canonicalised. Each cell's engine starts from `base`, the pool's
+/// first half; the producer streams draw from all of it.
+struct EngineEdgePool {
+  std::string name;
+  std::size_t n = 0;
+  std::vector<Edge> edges;
+  std::vector<Edge> base;
+};
+
+EngineEdgePool engine_edge_pool(const BenchEnv& env);
 
 /// The engine benches' producer workload: producer p draws
 /// ops_total/producers updates from its own contiguous slice of the

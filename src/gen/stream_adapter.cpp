@@ -4,15 +4,6 @@
 
 namespace parcore {
 
-std::vector<GraphUpdate> updates_from_temporal(
-    std::span<const TimestampedEdge> stream) {
-  std::vector<GraphUpdate> ops;
-  ops.reserve(stream.size());
-  for (const TimestampedEdge& te : stream)
-    ops.push_back(GraphUpdate{te.e, UpdateKind::kInsert});
-  return ops;
-}
-
 std::vector<GraphUpdate> sliding_window_updates(std::span<const Edge> stream,
                                                 std::size_t window) {
   std::vector<GraphUpdate> ops;

@@ -13,10 +13,6 @@
 
 namespace parcore {
 
-/// Every temporal edge as an insert, in stream order.
-std::vector<GraphUpdate> updates_from_temporal(
-    std::span<const TimestampedEdge> stream);
-
 /// Sliding-window replay over a (deduplicated) edge sequence: each step
 /// inserts the next edge and, once more than `window` edges are live,
 /// removes the oldest — the KONECT-style "most recent W edges" workload.

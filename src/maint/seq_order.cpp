@@ -5,12 +5,11 @@
 
 namespace parcore {
 
-SeqOrderMaintainer::SeqOrderMaintainer(DynamicGraph& g, Options opts)
-    : graph_(g), opts_(opts) {
+SeqOrderMaintainer::SeqOrderMaintainer(DynamicGraph& g) : graph_(g) {
   rebuild();
 }
 
-void SeqOrderMaintainer::rebuild() { state_.initialize(graph_, opts_.state); }
+void SeqOrderMaintainer::rebuild() { state_.initialize(graph_); }
 
 // --------------------------------------------------------------------------
 // Min-heap over cached OM keys. Sequentially, cached keys only go stale
@@ -75,13 +74,7 @@ bool SeqOrderMaintainer::insert_edge(VertexId u, VertexId v) {
   if (cv >= K) state_.mcd_increment_unless_empty(u);
   if (K >= cv) state_.mcd_increment_unless_empty(v);
 
-  if (state_.dout(u).load(std::memory_order_relaxed) <= K) {
-    if (opts_.collect_stats) {
-      vplus_hist_.record(0);
-      vstar_hist_.record(0);
-    }
-    return true;
-  }
+  if (state_.dout(u).load(std::memory_order_relaxed) <= K) return true;
 
   state_.levels().ensure_capacity(
       static_cast<std::size_t>(state_.max_core()) + 2);
@@ -91,7 +84,6 @@ bool SeqOrderMaintainer::insert_edge(VertexId u, VertexId v) {
   inq_.clear();
   heap_.clear();
   heap_version_valid_ = false;
-  vplus_count_ = 0;
 
   VertexId w = u;
   while (w != kInvalidVertex) {
@@ -126,16 +118,10 @@ bool SeqOrderMaintainer::insert_edge(VertexId u, VertexId v) {
         state_.mcd_increment_unless_empty(x);
   });
   if (!vstar_.empty()) state_.raise_max_core(K + 1);
-
-  if (opts_.collect_stats) {
-    vplus_hist_.record(vplus_count_);
-    vstar_hist_.record(vstar_.size());
-  }
   return true;
 }
 
 void SeqOrderMaintainer::forward(VertexId w, CoreValue k, OrderList& list) {
-  ++vplus_count_;
   vstar_.insert(w);
   for (VertexId x : graph_.neighbors(w)) {
     if (state_.core(x).load(std::memory_order_relaxed) != k) continue;
@@ -175,7 +161,6 @@ void SeqOrderMaintainer::adjust_candidates(VertexId y, CoreValue k,
 }
 
 void SeqOrderMaintainer::backward(VertexId w, CoreValue k, OrderList& list) {
-  ++vplus_count_;
   OmItem* pre = &state_.item(w);
   rq_.clear();
   inr_.clear();
@@ -219,6 +204,13 @@ void SeqOrderMaintainer::do_mcd_remove(VertexId x, CoreValue k) {
 }
 
 bool SeqOrderMaintainer::remove_edge(VertexId u, VertexId v) {
+  touched_.clear();
+  if (!remove_one(u, v)) return false;
+  repair_dout();
+  return true;
+}
+
+bool SeqOrderMaintainer::remove_one(VertexId u, VertexId v) {
   if (!graph_.has_edge(u, v)) return false;
   const CoreValue cu = state_.core(u).load(std::memory_order_relaxed);
   const CoreValue cv = state_.core(v).load(std::memory_order_relaxed);
@@ -227,6 +219,7 @@ bool SeqOrderMaintainer::remove_edge(VertexId u, VertexId v) {
   ensure_mcd(u);
   ensure_mcd(v);
   // The edge still exists here; dout of the k-order-lower endpoint drops.
+  // In a batch this value may be stale; repair_dout() overwrites it.
   if (state_.precedes_stable(u, v))
     state_.dout(u).fetch_sub(1, std::memory_order_relaxed);
   else
@@ -235,7 +228,6 @@ bool SeqOrderMaintainer::remove_edge(VertexId u, VertexId v) {
 
   vstar_.clear();
   rq_.clear();
-  touched_.clear();
   touched_.insert(u);
   touched_.insert(v);
 
@@ -263,18 +255,15 @@ bool SeqOrderMaintainer::remove_edge(VertexId u, VertexId v) {
       state_.mcd(w).store(kMcdEmpty, std::memory_order_relaxed);
       list.remove(&state_.item(w));
       lower.insert_tail(&state_.item(w));
+      touched_.insert(w);
     });
   }
-  repair_dout();
-
-  if (opts_.collect_stats) remove_vstar_hist_.record(vstar_.size());
   return true;
 }
 
 void SeqOrderMaintainer::repair_dout() {
   // Restore d+out exactness after demotions (DESIGN.md §3.1): recompute
   // for every touched vertex once levels/positions are final.
-  vstar_.for_each([&](VertexId w) { touched_.insert(w); });
   touched_.for_each([&](VertexId x) {
     state_.dout(x).store(state_.compute_dout(graph_, x),
                          std::memory_order_relaxed);
@@ -289,9 +278,13 @@ std::size_t SeqOrderMaintainer::insert_batch(std::span<const Edge> edges) {
 }
 
 std::size_t SeqOrderMaintainer::remove_batch(std::span<const Edge> edges) {
+  // No removal step reads d+out, so one repair at the end covers the
+  // union of the edges' touched sets.
+  touched_.clear();
   std::size_t applied = 0;
   for (const Edge& e : edges)
-    if (remove_edge(e.u, e.v)) ++applied;
+    if (remove_one(e.u, e.v)) ++applied;
+  repair_dout();
   return applied;
 }
 

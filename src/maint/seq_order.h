@@ -13,7 +13,6 @@
 #include "graph/dynamic_graph.h"
 #include "maint/core_state.h"
 #include "om/order_list.h"
-#include "support/histogram.h"
 #include "support/types.h"
 #include "support/vertex_set.h"
 
@@ -21,16 +20,9 @@ namespace parcore {
 
 class SeqOrderMaintainer {
  public:
-  struct Options {
-    CoreState::Options state{};
-    bool collect_stats = false;  // Fig. 1 histograms
-  };
-
   /// The maintainer mutates `g` as edges are inserted/removed; `g` must
   /// outlive the maintainer.
-  SeqOrderMaintainer(DynamicGraph& g, Options opts);
-  explicit SeqOrderMaintainer(DynamicGraph& g)
-      : SeqOrderMaintainer(g, Options()) {}
+  explicit SeqOrderMaintainer(DynamicGraph& g);
 
   /// (Re)initialises cores, k-order, dout, mcd from the current graph.
   void rebuild();
@@ -44,6 +36,8 @@ class SeqOrderMaintainer {
   bool remove_edge(VertexId u, VertexId v);
 
   std::size_t insert_batch(std::span<const Edge> edges);
+  /// SeqR: removes edge by edge, then repairs d+out once for the whole
+  /// batch, as OurR does (DESIGN.md §3.1).
   std::size_t remove_batch(std::span<const Edge> edges);
 
   CoreValue core(VertexId v) const {
@@ -54,12 +48,6 @@ class SeqOrderMaintainer {
   CoreState& state() { return state_; }
   const CoreState& state() const { return state_; }
   DynamicGraph& graph() { return graph_; }
-
-  const SizeHistogram& insert_vplus_histogram() const { return vplus_hist_; }
-  const SizeHistogram& insert_vstar_histogram() const { return vstar_hist_; }
-  const SizeHistogram& remove_vstar_histogram() const {
-    return remove_vstar_hist_;
-  }
 
  private:
   struct HeapEntry {
@@ -81,11 +69,13 @@ class SeqOrderMaintainer {
   // -- removal helpers (Algorithm 3) --------------------------------------
   void ensure_mcd(VertexId v);
   void do_mcd_remove(VertexId x, CoreValue k);
-
+  /// Algorithm 3 for one edge without the d+out repair: adds every
+  /// vertex whose d+out may have changed to `touched_`.
+  bool remove_one(VertexId u, VertexId v);
+  /// Recomputes d+out for every vertex in `touched_`.
   void repair_dout();
 
   DynamicGraph& graph_;
-  Options opts_;
   CoreState state_;
 
   // Per-operation scratch (reused across operations).
@@ -97,11 +87,6 @@ class SeqOrderMaintainer {
   std::uint64_t heap_version_ = 0;
   bool heap_version_valid_ = false;
   std::deque<VertexId> rq_;
-  std::size_t vplus_count_ = 0;
-
-  SizeHistogram vplus_hist_;
-  SizeHistogram vstar_hist_;
-  SizeHistogram remove_vstar_hist_;
 };
 
 }  // namespace parcore

@@ -1,7 +1,6 @@
 #include "support/histogram.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace parcore {
 
@@ -22,29 +21,6 @@ double SizeHistogram::fraction_at_most(std::size_t bound) const {
   for (std::size_t i = 0; i <= bound && i < counts_.size(); ++i)
     acc += counts_[i];
   return static_cast<double>(acc) / static_cast<double>(total_);
-}
-
-std::string SizeHistogram::bucket_report() const {
-  std::ostringstream os;
-  std::size_t lo = 0, hi = 0;  // inclusive bucket bounds
-  while (lo < counts_.size()) {
-    std::uint64_t acc = 0;
-    for (std::size_t i = lo; i <= hi && i < counts_.size(); ++i)
-      acc += counts_[i];
-    if (acc > 0) {
-      if (lo == hi)
-        os << "  " << lo;
-      else
-        os << "  " << lo << "-" << hi;
-      os << ": " << acc << "\n";
-    }
-    lo = hi + 1;
-    hi = lo == 1 ? 1 : lo * 2 - 1;
-    if (hi < lo) break;  // overflow guard
-  }
-  if (overflow_ > 0)
-    os << "  >" << counts_.size() - 1 << ": " << overflow_ << "\n";
-  return os.str();
 }
 
 }  // namespace parcore

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace parcore {
@@ -37,9 +36,6 @@ class SizeHistogram {
 
   /// Fraction of samples with value <= bound (paper: ">97% in [0,10]").
   double fraction_at_most(std::size_t bound) const;
-
-  /// Multi-line report with exponential buckets: 0, 1, 2, 3-4, 5-8, ...
-  std::string bucket_report() const;
 
  private:
   std::vector<std::uint64_t> counts_;

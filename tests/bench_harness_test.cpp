@@ -71,15 +71,34 @@ TEST(BenchHarness, InsertRemoveRoundTripRestoresBase) {
   EXPECT_EQ(g.num_edges(), w.base_edges.size());
 }
 
-TEST(BenchHarness, TimersProducepositiveStats) {
-  SuiteSpec spec = table2_suite()[2];
-  PreparedWorkload w = prepare_workload(spec, 0.02, 100);
+// One checked cell per maintainer: the timer runs every rep and finds
+// the base cores and edge count again after each insert+remove.
+void expect_clean_cell(Algo algo, int workers) {
+  PreparedWorkload w = prepare_workload(table2_suite()[2], 0.02, 100);
   ThreadTeam team(4);
-  AlgoTimes ours = time_parallel_order(w, team, 4, 2);
-  EXPECT_EQ(ours.insert_ms.count, 2u);
-  EXPECT_GE(ours.insert_ms.mean, 0.0);
-  AlgoTimes je = time_je(w, team, 4, 1);
-  EXPECT_EQ(je.remove_ms.count, 1u);
+  const TimedCell r =
+      time_cell(w, team, {.algo = algo, .workers = workers, .reps = 2});
+  EXPECT_EQ(r.insert_ms.count, 2u);
+  EXPECT_EQ(r.remove_ms.count, 2u);
+  EXPECT_EQ(r.mismatch, "") << algo_name(algo);
+  EXPECT_GT(r.max_core, 0);
+}
+
+TEST(BenchHarness, TimedCellOur) { expect_clean_cell(Algo::kOur, 4); }
+TEST(BenchHarness, TimedCellSeq) { expect_clean_cell(Algo::kSeq, 1); }
+TEST(BenchHarness, TimedCellJe) { expect_clean_cell(Algo::kJe, 4); }
+
+TEST(BenchHarness, TimedCellReportsMismatch) {
+  // A base edge in the batch: insert skips it, remove deletes it from
+  // the base, so the edge count no longer matches.
+  PreparedWorkload w = prepare_workload(table2_suite()[2], 0.02, 100);
+  w.batch.push_back(w.base_edges.front());
+  ThreadTeam team(4);
+  for (Algo algo : {Algo::kOur, Algo::kSeq, Algo::kJe}) {
+    const TimedCell r = time_cell(w, team, {.algo = algo, .workers = 2});
+    EXPECT_NE(r.mismatch.find("edges"), std::string::npos)
+        << algo_name(algo) << ": " << r.mismatch;
+  }
 }
 
 TEST(BenchHarness, EnvDefaults) {

@@ -1,6 +1,8 @@
 // Differential tests for the sequential Simplified-Order maintainer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <tuple>
 
 #include "gen/generators.h"
@@ -159,11 +161,14 @@ TEST(SeqOrderMixed, InsertThenRemoveRestoresCores) {
   expect_state_ok(m, "roundtrip");
 }
 
+// The third parameter removes through remove_batch, in batches of 7,
+// so its single batch-end d+out repair is checked too.
 class SeqDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<Family, std::uint64_t>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<Family, std::uint64_t, bool>> {};
 
 TEST_P(SeqDifferentialTest, RandomOpsAgainstBruteForce) {
-  auto [family, seed] = GetParam();
+  auto [family, seed, batched] = GetParam();
   test::Workload w = test::make_workload(family, 220, 0.3, seed);
   auto g = DynamicGraph::from_edges(w.n, w.base);
   SeqOrderMaintainer m(g);
@@ -182,11 +187,21 @@ TEST_P(SeqDifferentialTest, RandomOpsAgainstBruteForce) {
   Rng rng(seed ^ 0xbeef);
   auto batch = w.batch;
   rng.shuffle(batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_TRUE(m.remove_edge(batch[i].u, batch[i].v));
-    if (i % 7 == 0)
+  if (batched) {
+    for (std::size_t i = 0; i < batch.size(); i += 7) {
+      const std::size_t len = std::min<std::size_t>(7, batch.size() - i);
+      ASSERT_EQ(m.remove_batch(std::span(batch).subspan(i, len)), len);
       test::expect_cores_match(g, m.cores(),
-                               "remove #" + std::to_string(i));
+                               "remove batch at #" + std::to_string(i));
+      expect_state_ok(m, "remove batch at #" + std::to_string(i));
+    }
+  } else {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_TRUE(m.remove_edge(batch[i].u, batch[i].v));
+      if (i % 7 == 0)
+        test::expect_cores_match(g, m.cores(),
+                                 "remove #" + std::to_string(i));
+    }
   }
   test::expect_cores_match(g, m.cores(), "remove end");
   expect_state_ok(m, "remove end");
@@ -197,27 +212,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Family::kEr, Family::kBa,
                                          Family::kRmat, Family::kClique,
                                          Family::kPath),
-                       ::testing::Values(1u, 2u, 3u)),
+                       ::testing::Values(1u, 2u, 3u), ::testing::Bool()),
     [](const auto& info) {
       return std::string(test::family_name(std::get<0>(info.param))) + "_s" +
-             std::to_string(std::get<1>(info.param));
+             std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_batch" : "");
     });
-
-TEST(SeqOrderStats, HistogramsPopulated) {
-  test::Workload w = test::make_workload(Family::kBa, 200, 0.2, 5);
-  auto g = DynamicGraph::from_edges(w.n, w.base);
-  SeqOrderMaintainer::Options opts;
-  opts.collect_stats = true;
-  SeqOrderMaintainer m(g, opts);
-  m.insert_batch(w.batch);
-  m.remove_batch(w.batch);
-  EXPECT_EQ(m.insert_vplus_histogram().total(), w.batch.size());
-  EXPECT_EQ(m.insert_vstar_histogram().total(), w.batch.size());
-  EXPECT_EQ(m.remove_vstar_histogram().total(), w.batch.size());
-  // V* <= V+ on average.
-  EXPECT_LE(m.insert_vstar_histogram().mean(),
-            m.insert_vplus_histogram().mean() + 1e-9);
-}
 
 }  // namespace
 }  // namespace parcore

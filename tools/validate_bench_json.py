@@ -3,9 +3,9 @@
 
 Usage: validate_bench_json.py FILE...
 
-Each file must parse as JSON, carry the shared envelope (bench name and
-a non-empty rows array), and every row must provide the per-bench
-required numeric fields. CI runs this over the perf-smoke outputs so a
+Each file must parse as JSON, carry the shared envelope (a known bench
+name and a non-empty rows array), and every row must provide the
+per-bench required fields. CI runs this over the perf-smoke outputs so a
 schema drift (renamed field, truncated write, NaN) fails the build
 instead of silently corrupting the perf trajectory.
 """
@@ -25,6 +25,7 @@ ROW_FIELDS = {
         "drain_us", "coalesce_us", "apply_us", "om_compact_us",
         "publish_us", "worker_busy_us", "worker_idle_us",
     ],
+    "paper": ["workload", "algo", "workers", "insert_ms", "remove_ms"],
     "storage": [],  # storage rows are heterogeneous; envelope-only check
     "query_serving": [
         "mode", "batch", "epochs", "publish_us_mean", "publish_us_p50",
@@ -52,8 +53,7 @@ ROW_FIELDS = {
 
 # Optional off/on overhead cell pairs (bench_engine_throughput emits
 # obs_overhead, bench_durability emits wal_overhead, bench_overload
-# emits admission_overhead; the CLI's file-driven variants emit none).
-# Same field triple for all.
+# emits admission_overhead). Same field triple for all.
 OVERHEAD_OBJECTS = ("obs_overhead", "wal_overhead", "admission_overhead")
 
 STRING_FIELDS = {"policy", "workload", "mode", "algo"}
@@ -76,6 +76,8 @@ def validate(path):
     bench = doc.get("bench")
     if not isinstance(bench, str) or not bench:
         return fail(path, "missing 'bench' name")
+    if bench not in ROW_FIELDS:
+        return fail(path, f"unknown bench {bench!r}")
     rows = doc.get("rows")
     if not isinstance(rows, list) or not rows:
         return fail(path, "missing or empty 'rows'")
@@ -94,7 +96,7 @@ def validate(path):
                 return fail(path, f"{name} field '{field}' not a "
                                   f"finite number (got {value!r})")
 
-    required = ROW_FIELDS.get(bench, [])
+    required = ROW_FIELDS[bench]
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             return fail(path, f"row {i} is not an object")
