@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <thread>
+#include <unistd.h>
 
 #include "graph/edge_list.h"
 #include "io/graph_reader.h"
@@ -236,30 +238,46 @@ EngineEdgePool engine_edge_pool(const BenchEnv& env) {
 EngineCellResult run_engine_cell(
     std::size_t n, const std::vector<Edge>& base,
     const std::vector<std::vector<GraphUpdate>>& streams, ThreadTeam& team,
-    const engine::StreamingEngine::Options& opts) {
-  DynamicGraph g = DynamicGraph::from_edges(n, base);
-  engine::StreamingEngine eng(g, team, opts);
-  eng.start();
-
-  std::size_t total_ops = 0;
-  for (const auto& s : streams) total_ops += s.size();
-
-  WallTimer timer;
-  std::vector<std::thread> producers;
-  producers.reserve(streams.size());
-  for (const auto& stream : streams) {
-    producers.emplace_back([&eng, &stream] {
-      for (const GraphUpdate& u : stream) eng.submit(u);
-    });
+    engine::StreamingEngine::Options opts, bool durable) {
+  // The engine refuses to start over an existing history, so each
+  // durable cell gets an empty directory of its own.
+  static int durable_cells = 0;
+  std::string dir;
+  if (durable) {
+    dir = (std::filesystem::temp_directory_path() /
+           ("parcore-bench-wal-" + std::to_string(::getpid()) + "-" +
+            std::to_string(++durable_cells)))
+              .string();
+    std::filesystem::remove_all(dir);
+    opts.durability.dir = dir;
   }
-  for (auto& t : producers) t.join();
-  eng.stop();  // drains the tail; included in the measured time
-  const double sec = timer.elapsed_ms() / 1000.0;
 
   EngineCellResult r;
-  r.seconds = sec;
-  r.updates_per_sec = sec > 0 ? static_cast<double>(total_ops) / sec : 0.0;
-  r.stats = eng.stats();
+  {
+    DynamicGraph g = DynamicGraph::from_edges(n, base);
+    engine::StreamingEngine eng(g, team, opts);
+    eng.start();
+
+    std::size_t total_ops = 0;
+    for (const auto& s : streams) total_ops += s.size();
+
+    WallTimer timer;
+    std::vector<std::thread> producers;
+    producers.reserve(streams.size());
+    for (const auto& stream : streams) {
+      producers.emplace_back([&eng, &stream] {
+        for (const GraphUpdate& u : stream) eng.submit(u);
+      });
+    }
+    for (auto& t : producers) t.join();
+    eng.stop();  // drains the tail; included in the measured time
+    const double sec = timer.elapsed_ms() / 1000.0;
+
+    r.seconds = sec;
+    r.updates_per_sec = sec > 0 ? static_cast<double>(total_ops) / sec : 0.0;
+    r.stats = eng.stats();
+  }
+  if (!dir.empty()) std::filesystem::remove_all(dir);
   return r;
 }
 
@@ -394,16 +412,22 @@ std::string write_bench_json(const std::string& name, const Json& payload) {
   return path;
 }
 
-Json engine_cell_json(const std::string& policy, int producers, int workers,
+Json engine_cell_json(const std::string& policy, const std::string& mode,
+                      int producers, int workers, std::size_t cap,
                       const EngineCellResult& r) {
   const double p50_ms =
       static_cast<double>(r.stats.flush_us.quantile_upper(0.5)) / 1000.0;
   const double p99_ms =
       static_cast<double>(r.stats.flush_us.quantile_upper(0.99)) / 1000.0;
+  const engine::EngineStats::PhaseTotals& ph = r.stats.phases;
+  const durability::Manager::Totals& wal = r.stats.durability;
+  const engine::IngestQueue::AdmissionStats& adm = r.stats.admission;
   return Json::object()
       .set("policy", policy)
+      .set("mode", mode)
       .set("producers", producers)
       .set("workers", workers)
+      .set("cap", std::uint64_t{cap})
       .set("ops", std::uint64_t{r.stats.submitted})
       .set("seconds", r.seconds)
       .set("updates_per_sec", r.updates_per_sec)
@@ -416,17 +440,64 @@ Json engine_cell_json(const std::string& policy, int producers, int workers,
       .set("duplicates", std::uint64_t{r.stats.coalesce.duplicates})
       .set("noops", std::uint64_t{r.stats.coalesce.noops})
       // Per-phase pipeline decomposition (EngineStats::PhaseTotals,
-      // microseconds summed over every flush of the cell). The cell
-      // runs without durability or re-verification, so these five
-      // phases partition each flush window and their sum tracks the
-      // cell's total flush time.
-      .set("drain_us", r.stats.phases.drain_us)
-      .set("coalesce_us", r.stats.phases.coalesce_us)
-      .set("apply_us", r.stats.phases.apply_us)
-      .set("om_compact_us", r.stats.phases.om_compact_us)
-      .set("publish_us", r.stats.phases.publish_us)
-      .set("worker_busy_us", r.stats.phases.worker_busy_us)
-      .set("worker_idle_us", r.stats.phases.worker_idle_us);
+      // microseconds summed over every flush of the cell). The cells
+      // run without re-verification, so these seven phases partition
+      // each flush window; wal_us and checkpoint_us stay 0 unless the
+      // cell is durable.
+      .set("drain_us", ph.drain_us)
+      .set("coalesce_us", ph.coalesce_us)
+      .set("wal_us", ph.wal_us)
+      .set("apply_us", ph.apply_us)
+      .set("om_compact_us", ph.om_compact_us)
+      .set("checkpoint_us", ph.checkpoint_us)
+      .set("publish_us", ph.publish_us)
+      .set("worker_busy_us", ph.worker_busy_us)
+      .set("worker_idle_us", ph.worker_idle_us)
+      // What the WAL wrote and what admission control did.
+      .set("wal_frames", wal.wal_frames)
+      .set("wal_bytes", wal.wal_bytes)
+      .set("wal_fsyncs", wal.wal_fsyncs)
+      .set("checkpoints", wal.checkpoints)
+      .set("shed", adm.shed)
+      .set("block_waits", adm.block_waits)
+      .set("blocked_us", adm.blocked_us)
+      .set("compacted", adm.compacted)
+      .set("overload_flushes", r.stats.overload_flushes);
+}
+
+OverheadPair measure_overhead(int reps, Score score,
+                              const std::function<double()>& off,
+                              const std::function<double()>& on) {
+  const bool rate = score == Score::kUpdatesPerSec;
+  auto better = [rate](double a, double b) { return rate ? a > b : a < b; };
+  // Positive when `on_score` is worse than `off_score`.
+  auto loss_pct = [rate](double off_score, double on_score) {
+    return 100.0 * (rate ? off_score - on_score : on_score - off_score) /
+           off_score;
+  };
+  OverheadPair p;
+  double best_off = 0.0, best_on = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const double off_score = off();
+    const double on_score = on();
+    if (rep == 0 || better(off_score, best_off)) best_off = off_score;
+    if (rep == 0 || better(on_score, best_on)) best_on = on_score;
+    p.pairs.push_back(loss_pct(off_score, on_score));
+  }
+  p.off_updates_per_sec = rate ? best_off : 1e9 / best_off;
+  p.on_updates_per_sec = rate ? best_on : 1e9 / best_on;
+  p.overhead_pct = loss_pct(best_off, best_on);
+  return p;
+}
+
+Json overhead_json(const OverheadPair& p) {
+  Json pairs = Json::array();
+  for (double pct : p.pairs) pairs.push(pct);
+  return Json::object()
+      .set("off_updates_per_sec", p.off_updates_per_sec)
+      .set("on_updates_per_sec", p.on_updates_per_sec)
+      .set("overhead_pct", p.overhead_pct)
+      .set("pairs", pairs);
 }
 
 Table::Table(std::vector<std::string> headers) {

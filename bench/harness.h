@@ -1,8 +1,8 @@
 // Shared benchmark harness: environment knobs, workload preparation
 // (the paper's remove-then-reinsert protocol), the checked maintainer
 // timer behind bench_paper (the one producer of the paper's numbers),
-// the engine benches' edge pool and cell, a JSON emitter and a
-// fixed-width table printer.
+// bench_engine's edge pool, engine cell and off/on overhead routine,
+// a JSON emitter and a fixed-width table printer.
 //
 // Environment variables (full table: docs/CONFIG.md):
 //   PARCORE_BENCH_SCALE    graph scale factor (default 0.2; paper ~1.0
@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -113,11 +114,13 @@ struct TimedCell {
 TimedCell time_cell(const PreparedWorkload& w, ThreadTeam& team,
                     const CellSpec& spec);
 
-/// One streaming-engine measurement cell, shared by the engine benches
-/// (engine throughput, durability, overload): builds a fresh
-/// engine over `base`, replays the per-producer streams concurrently
-/// (stop() drains the tail inside the measured window), and reports
-/// end-to-end throughput plus the engine's own stats.
+/// One streaming-engine measurement cell, the only one bench_engine
+/// runs: builds a fresh engine over `base`, replays the per-producer
+/// streams concurrently (stop() drains the tail inside the measured
+/// window), and reports end-to-end throughput plus the engine's own
+/// stats. `durable` turns on WAL + checkpoints (the default
+/// checkpoint_interval, 64) in a fresh temporary directory that is
+/// removed after the cell.
 struct EngineCellResult {
   double seconds = 0.0;
   double updates_per_sec = 0.0;
@@ -127,9 +130,9 @@ struct EngineCellResult {
 EngineCellResult run_engine_cell(
     std::size_t n, const std::vector<Edge>& base,
     const std::vector<std::vector<GraphUpdate>>& streams, ThreadTeam& team,
-    const engine::StreamingEngine::Options& opts);
+    engine::StreamingEngine::Options opts, bool durable = false);
 
-/// The engine benches' edge pool: the PARCORE_BENCH_INPUT dataset, or
+/// bench_engine's edge pool: the PARCORE_BENCH_INPUT dataset, or
 /// the first scalability stand-in (skewed R-MAT, where coalescing pays)
 /// canonicalised. Each cell's engine starts from `base`, the pool's
 /// first half; the producer streams draw from all of it.
@@ -142,7 +145,7 @@ struct EngineEdgePool {
 
 EngineEdgePool engine_edge_pool(const BenchEnv& env);
 
-/// The engine benches' producer workload: producer p draws
+/// bench_engine's producer workload: producer p draws
 /// ops_total/producers updates from its own contiguous slice of the
 /// edge pool — disjoint universes keep the end state deterministic —
 /// with a fixed seed and hot/remove-fraction mix, so every surface
@@ -194,10 +197,40 @@ class Json {
 /// (pretty-printed) and prints the path. Returns the path written.
 std::string write_bench_json(const std::string& name, const Json& payload);
 
-/// The BENCH_engine.json row for one engine cell (bench_engine_throughput,
-/// synthetic or PARCORE_BENCH_INPUT graph).
-Json engine_cell_json(const std::string& policy, int producers, int workers,
+/// The BENCH_engine.json row for one engine cell: its configuration
+/// (`mode` names what is on besides the batch policy; `cap` is the
+/// ingest cap, 0 = unbounded), throughput and flush latency, coalesce
+/// counts, the per-phase flush times, the WAL/checkpoint totals and the
+/// admission counters. Every row carries every field.
+Json engine_cell_json(const std::string& policy, const std::string& mode,
+                      int producers, int workers, std::size_t cap,
                       const EngineCellResult& r);
+
+/// One off/on overhead pair, the statistic behind each CI overhead
+/// gate: `reps` times, score the off side and then the on side; each
+/// side keeps its best score.
+enum class Score {
+  kUpdatesPerSec,  // a rate: best is the highest
+  kNsPerUpdate,    // a cost: best is the lowest
+};
+
+struct OverheadPair {
+  /// Each side's best score, as a rate (a cost c reads as 1e9 / c).
+  double off_updates_per_sec = 0.0;
+  double on_updates_per_sec = 0.0;
+  /// How much worse the on side's best is than the off side's, in
+  /// percent of the off side's score (negative: on was better).
+  double overhead_pct = 0.0;
+  /// The same figure for each rep's own off/on pair, in run order.
+  std::vector<double> pairs;
+};
+
+OverheadPair measure_overhead(int reps, Score score,
+                              const std::function<double()>& off,
+                              const std::function<double()>& on);
+
+/// {off_updates_per_sec, on_updates_per_sec, overhead_pct, pairs}.
+Json overhead_json(const OverheadPair& p);
 
 /// Minimal fixed-width table printer.
 class Table {

@@ -112,7 +112,7 @@ void Manager::checkpoint(const io::PcgCheckpoint& ck) {
       throw IoError(tmp_path, 0,
                     std::string("write checkpoint failed: ") +
                         std::strerror(err) + " (injected)");
-    io::save_pcg_checkpoint(tmp_path, ck, opts_.fsync);
+    io::save_pcg_checkpoint(tmp_path, ck);
     if (armed("checkpoint-mid-write")) {
       // Stage the artifact of dying mid-write: a half-length tmp file.
       std::error_code ec;
@@ -128,8 +128,7 @@ void Manager::checkpoint(const io::PcgCheckpoint& ck) {
 
     // 2. The new generation's WAL, durable BEFORE the commit point so a
     // visible checkpoint always has its (possibly empty) WAL beside it.
-    next = WalWriter::create(wal_path(opts_.dir, ck.epoch), ck.epoch,
-                             opts_.fsync);
+    next = WalWriter::create(wal_path(opts_.dir, ck.epoch), ck.epoch);
     totals_.wal_bytes += next.bytes_appended();
     totals_.wal_fsyncs += next.fsyncs();
     inject("checkpoint-pre-rename");
@@ -144,7 +143,7 @@ void Manager::checkpoint(const io::PcgCheckpoint& ck) {
                     std::string("checkpoint rename failed: ") +
                         std::strerror(errno));
     renamed = true;
-    if (opts_.fsync) fsync_dir(opts_.dir);
+    fsync_dir(opts_.dir);
     inject("checkpoint-post-rename");
   } catch (...) {
     if (!renamed) {

@@ -50,11 +50,6 @@ class Manager {
     /// Flushes between periodic checkpoints; 0 = only the initial and
     /// shutdown checkpoints.
     std::size_t checkpoint_interval = 64;
-    /// fsync checkpoints on write and the WAL after every append.
-    /// Turning this off keeps crash-consistency of the FILE FORMAT
-    /// (torn tails still recover) but an OS crash may lose the most
-    /// recent flushes; a process crash loses nothing either way.
-    bool fsync = true;
     /// Checkpoint generations kept (>= 1): the live one plus fallbacks.
     std::size_t retain = 2;
     /// Fault-tolerance policy, consumed by the ENGINE's durable-I/O

@@ -120,7 +120,6 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
-    sync_ = other.sync_;
     path_ = std::move(other.path_);
     frames_ = other.frames_;
     bytes_ = other.bytes_;
@@ -131,8 +130,8 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
   return *this;
 }
 
-WalWriter WalWriter::create(const std::string& path, std::uint64_t base_epoch,
-                            bool sync) {
+WalWriter WalWriter::create(const std::string& path,
+                            std::uint64_t base_epoch) {
   if (const int err = inject("wal-create"))
     throw injected(path, "create WAL", err);
   WalWriter w;
@@ -140,15 +139,12 @@ WalWriter WalWriter::create(const std::string& path, std::uint64_t base_epoch,
   if (w.fd_ < 0)
     throw IoError(path, 0,
                   std::string("cannot create WAL: ") + std::strerror(errno));
-  w.sync_ = sync;
   w.path_ = path;
   encode_header(w.buf_, base_epoch);
   write_all(w.fd_, path, w.buf_.data(), w.buf_.size());
   w.bytes_ += w.buf_.size();
-  if (sync) {
-    fsync_or_throw(w.fd_, path);
-    ++w.fsyncs_;
-  }
+  fsync_or_throw(w.fd_, path);
+  ++w.fsyncs_;
   return w;
 }
 
@@ -183,12 +179,10 @@ void WalWriter::append(const WalRecord& rec) {
     }
     write_all(fd_, path_, buf_.data(), buf_.size());
     inject("wal-pre-fsync");
-    if (sync_) {
-      if (const int err = inject("wal-fsync"))
-        throw injected(path_, "fsync WAL", err);
-      fsync_or_throw(fd_, path_);
-      ++fsyncs_;
-    }
+    if (const int err = inject("wal-fsync"))
+      throw injected(path_, "fsync WAL", err);
+    fsync_or_throw(fd_, path_);
+    ++fsyncs_;
     inject("wal-post-fsync");
   } catch (...) {
     // Roll the file back to the last committed frame boundary so a
@@ -207,12 +201,6 @@ void WalWriter::append(const WalRecord& rec) {
   }
   frames_ += 1;
   bytes_ += buf_.size();
-}
-
-void WalWriter::sync() {
-  if (fd_ < 0) return;
-  fsync_or_throw(fd_, path_);
-  ++fsyncs_;
 }
 
 void WalWriter::close() {

@@ -52,13 +52,11 @@ class WalWriter {
   WalWriter(WalWriter&& other) noexcept { *this = std::move(other); }
   WalWriter& operator=(WalWriter&& other) noexcept;
 
-  /// Creates/truncates `path`, writes the header, and (when `sync`)
-  /// fsyncs it. Throws IoError on any failure.
-  static WalWriter create(const std::string& path, std::uint64_t base_epoch,
-                          bool sync);
+  /// Creates/truncates `path`, writes the header, and fsyncs it.
+  /// Throws IoError on any failure.
+  static WalWriter create(const std::string& path, std::uint64_t base_epoch);
 
-  /// Appends one frame and group-fsyncs it (when the writer was created
-  /// with sync). Crash points: wal-mid-append (half the frame bytes are
+  /// Appends one frame and group-fsyncs it. Crash points: wal-mid-append (half the frame bytes are
   /// written before dying), wal-pre-fsync, wal-post-fsync. Fault
   /// points (durability/inject.h): wal-append, wal-append-short,
   /// wal-fsync.
@@ -71,7 +69,6 @@ class WalWriter {
   /// truncate fails the writer closes itself; later appends throw.
   void append(const WalRecord& rec);
 
-  void sync();
   void close();
 
   bool is_open() const { return fd_ >= 0; }
@@ -84,7 +81,6 @@ class WalWriter {
 
  private:
   int fd_ = -1;
-  bool sync_ = true;
   std::string path_;
   std::uint64_t frames_ = 0;
   std::uint64_t bytes_ = 0;

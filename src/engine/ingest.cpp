@@ -33,7 +33,8 @@ std::size_t IngestQueue::compact_shard(Shard& s) {
   // Amortization guard: don't re-scan until the shard has roughly
   // doubled past the last compaction's survivor count. Without it an
   // all-distinct stream at the cap would pay a futile O(size) scan per
-  // push (observed as a ~500x throughput collapse in bench_overload).
+  // push (observed as a ~500x throughput collapse in bench_engine's
+  // degrade rows).
   if (before < s.compact_floor * 2 + 16) return 0;
   // Keep only each edge's LAST op, in place. Dropping an edge's earlier
   // ops cannot change what the coalescer computes from the drained

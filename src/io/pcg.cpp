@@ -359,8 +359,7 @@ PcgCheckpoint load_pcg_v2(const File& f, const std::string& path,
 
 }  // namespace
 
-void save_pcg_checkpoint(const std::string& path, const PcgCheckpoint& ck,
-                         bool sync) {
+void save_pcg_checkpoint(const std::string& path, const PcgCheckpoint& ck) {
   File f(std::fopen(path.c_str(), "wb"));
   if (!f) throw IoError(path, 0, "cannot open for writing");
 
@@ -395,7 +394,7 @@ void save_pcg_checkpoint(const std::string& path, const PcgCheckpoint& ck,
   write_section(f, path, kSecOrdr, buf.data(), buf.size());
 
   if (std::fflush(f.get()) != 0) throw IoError(path, 0, "flush failed");
-  if (sync && ::fsync(fileno(f.get())) != 0)
+  if (::fsync(fileno(f.get())) != 0)
     throw IoError(path, 0, "fsync failed");
 }
 

@@ -49,11 +49,10 @@ struct PcgCheckpoint {
   std::vector<VertexId> order;  // permutation of [0, num_vertices)
 };
 
-/// Writes a v2 checkpoint. `sync` additionally fsyncs the file before
-/// close (the durability layer's atomic-rename protocol requires the
-/// payload durable before the rename commits it). Throws IoError.
-void save_pcg_checkpoint(const std::string& path, const PcgCheckpoint& ck,
-                         bool sync);
+/// Writes a v2 checkpoint and fsyncs it before close (the durability
+/// layer's atomic-rename protocol requires the payload durable before
+/// the rename commits it). Throws IoError.
+void save_pcg_checkpoint(const std::string& path, const PcgCheckpoint& ck);
 
 /// Loads a v2 checkpoint, CRC-checking every section. Fails closed with
 /// an IoError naming the file and byte offset on any truncation, CRC

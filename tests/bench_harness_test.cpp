@@ -2,8 +2,11 @@
 // itself must be sound (batch disjoint from base, temporal contiguity,
 // round-trip restoration) or every measured number is meaningless.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <set>
+#include <string>
 
 #include "graph/edge_list.h"
 #include "harness.h"
@@ -99,6 +102,85 @@ TEST(BenchHarness, TimedCellReportsMismatch) {
     EXPECT_NE(r.mismatch.find("edges"), std::string::npos)
         << algo_name(algo) << ": " << r.mismatch;
   }
+}
+
+// Fake scorers: each returns the next value of a fixed sequence and
+// logs which side ran, so the routine's run order and statistic show.
+struct FakeScorers {
+  std::vector<double> off_scores, on_scores;
+  std::string calls;
+  std::size_t off_i = 0, on_i = 0;
+  std::function<double()> off() {
+    return [this] { calls += 'f'; return off_scores[off_i++]; };
+  }
+  std::function<double()> on() {
+    return [this] { calls += 'n'; return on_scores[on_i++]; };
+  }
+};
+
+TEST(BenchHarness, OverheadRatesAlternateAndKeepEachSidesBest) {
+  FakeScorers f{{100, 120, 110}, {90, 114, 80}};
+  const OverheadPair p =
+      measure_overhead(3, Score::kUpdatesPerSec, f.off(), f.on());
+  EXPECT_EQ(f.calls, "fnfnfn");
+  EXPECT_DOUBLE_EQ(p.off_updates_per_sec, 120);
+  EXPECT_DOUBLE_EQ(p.on_updates_per_sec, 114);
+  EXPECT_DOUBLE_EQ(p.overhead_pct, 5.0);  // on is 5% slower: positive
+  ASSERT_EQ(p.pairs.size(), 3u);
+  EXPECT_DOUBLE_EQ(p.pairs[0], 10.0);
+  EXPECT_DOUBLE_EQ(p.pairs[1], 5.0);
+  EXPECT_NEAR(p.pairs[2], 100.0 * 30 / 110, 1e-9);
+
+  FakeScorers faster{{100}, {110}};
+  EXPECT_DOUBLE_EQ(
+      measure_overhead(1, Score::kUpdatesPerSec, faster.off(), faster.on())
+          .overhead_pct,
+      -10.0);
+}
+
+TEST(BenchHarness, OverheadCostsKeepTheLowestAndReportRates) {
+  FakeScorers f{{4.0, 2.0}, {2.5, 3.0}};  // ns per update
+  const OverheadPair p =
+      measure_overhead(2, Score::kNsPerUpdate, f.off(), f.on());
+  EXPECT_EQ(f.calls, "fnfn");
+  EXPECT_DOUBLE_EQ(p.off_updates_per_sec, 1e9 / 2.0);
+  EXPECT_DOUBLE_EQ(p.on_updates_per_sec, 1e9 / 2.5);
+  EXPECT_DOUBLE_EQ(p.overhead_pct, 25.0);  // on costs 25% more: positive
+  ASSERT_EQ(p.pairs.size(), 2u);
+  EXPECT_DOUBLE_EQ(p.pairs[0], -37.5);
+  EXPECT_DOUBLE_EQ(p.pairs[1], 50.0);
+}
+
+std::size_t bench_wal_dirs() {
+  const std::string prefix =
+      "parcore-bench-wal-" + std::to_string(::getpid()) + "-";
+  std::size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::temp_directory_path()))
+    if (entry.path().filename().string().starts_with(prefix)) ++count;
+  return count;
+}
+
+TEST(BenchHarness, DurableEngineCellLogsAndCleansUp) {
+  BenchEnv env;
+  env.scale = 0.02;
+  const EngineEdgePool pool = engine_edge_pool(env);
+  const auto streams = producer_update_streams(pool.edges, 2, 20000);
+  ThreadTeam team(2);
+  engine::StreamingEngine::Options opts;
+  opts.workers = 2;
+  opts.flush_threshold = 512;
+  const EngineCellResult r =
+      run_engine_cell(pool.n, pool.base, streams, team, opts, true);
+  EXPECT_EQ(r.stats.submitted, 20000u);
+  EXPECT_GE(r.stats.durability.checkpoints, 1u);
+  EXPECT_GT(r.stats.durability.wal_frames, 0u);
+  EXPECT_EQ(bench_wal_dirs(), 0u);
+
+  const Json row = engine_cell_json("fixed-2k", "wal-on", 2, 2, 0, r);
+  EXPECT_NE(row.dump().find("\"wal_frames\": " +
+                            std::to_string(r.stats.durability.wal_frames)),
+            std::string::npos);
 }
 
 TEST(BenchHarness, EnvDefaults) {

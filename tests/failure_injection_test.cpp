@@ -226,7 +226,7 @@ void expect_io_error(Fn fn, const std::string& frag, const char* context) {
 /// at offsets 32, 64, 96; total 128 B.
 std::string three_frame_wal(const std::string& name) {
   const std::string path = fuzz_path(name);
-  durability::WalWriter w = durability::WalWriter::create(path, 0, true);
+  durability::WalWriter w = durability::WalWriter::create(path, 0);
   w.append(durability::WalRecord{1, {}, {{0, 1}}});
   w.append(durability::WalRecord{2, {}, {{1, 2}}});
   w.append(durability::WalRecord{3, {}, {{2, 3}}});
@@ -343,7 +343,7 @@ TEST(DurabilityFuzz, WalEpochOrderIsEnforced) {
   // the reader must.
   const std::string path = fuzz_path("wal-epoch-regress");
   {
-    durability::WalWriter w = durability::WalWriter::create(path, 0, true);
+    durability::WalWriter w = durability::WalWriter::create(path, 0);
     w.append(durability::WalRecord{5, {}, {{0, 1}}});
     w.append(durability::WalRecord{5, {}, {{1, 2}}});
     w.close();
@@ -353,7 +353,7 @@ TEST(DurabilityFuzz, WalEpochOrderIsEnforced) {
 
   const std::string path2 = fuzz_path("wal-epoch-base");
   {
-    durability::WalWriter w = durability::WalWriter::create(path2, 7, true);
+    durability::WalWriter w = durability::WalWriter::create(path2, 7);
     w.append(durability::WalRecord{7, {}, {{0, 1}}});
     w.close();
   }
@@ -369,7 +369,7 @@ TEST(DurabilityFuzz, CheckpointBitFlipsAndTruncationsFailClosed) {
   ck.edges = {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {0, 5}};
   ck.core = {2, 2, 2, 2, 2, 2};
   ck.order = {0, 1, 2, 3, 4, 5};
-  io::save_pcg_checkpoint(path, ck, false);
+  io::save_pcg_checkpoint(path, ck);
   const std::vector<unsigned char> full = slurp(path);
   ASSERT_GT(full.size(), 32u);
 

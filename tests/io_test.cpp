@@ -294,7 +294,7 @@ TEST(Pcg, CheckpointRoundTripsAndDegradesToGraph) {
   ck.core = {1, 1, 1, 1};
   ck.order = {3, 2, 1, 0};
   const std::string path = testing::TempDir() + "/io_ckpt.pcg";
-  io::save_pcg_checkpoint(path, ck, /*sync=*/false);
+  io::save_pcg_checkpoint(path, ck);
 
   // Strict v2 loader round-trips everything.
   io::PcgCheckpoint back = io::load_pcg_checkpoint(path);
@@ -511,8 +511,8 @@ TEST(Cli, EverySubcommandRejectsUnknownOptionsWithExit2) {
   EXPECT_EQ(cli::cli_main({"decompose", "--input", toy, "--algo", "parallel",
                            "--workers", "4"}),
             0);
-  // The engine-throughput sweep over a dataset is bench_engine_throughput
-  // with PARCORE_BENCH_INPUT; the CLI has no `bench` command.
+  // The engine sweep over a dataset is bench_engine with
+  // PARCORE_BENCH_INPUT; the CLI has no `bench` command.
   EXPECT_EQ(cli::cli_main({"bench", "--input", toy}), 2);
 }
 

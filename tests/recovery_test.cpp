@@ -51,7 +51,7 @@ std::string fresh_dir(const std::string& name) {
 
 TEST(Wal, WriterReaderRoundTrip) {
   const std::string path = fresh_dir("wal-roundtrip");
-  WalWriter w = WalWriter::create(path, /*base_epoch=*/7, /*sync=*/true);
+  WalWriter w = WalWriter::create(path, /*base_epoch=*/7);
   WalRecord a{8, {{0, 1}}, {{2, 3}, {4, 5}}};
   WalRecord b{9, {}, {{6, 7}}};
   WalRecord c{12, {{8, 9}, {10, 11}}, {}};  // epochs may skip, not repeat
@@ -79,7 +79,7 @@ TEST(Wal, WriterReaderRoundTrip) {
 
 TEST(Wal, TornTailIsToleratedAndLocated) {
   const std::string path = fresh_dir("wal-torn");
-  WalWriter w = WalWriter::create(path, 0, true);
+  WalWriter w = WalWriter::create(path, 0);
   w.append(WalRecord{1, {}, {{0, 1}, {1, 2}}});
   w.append(WalRecord{2, {}, {{2, 3}}});
   w.close();
@@ -105,7 +105,7 @@ TEST(Wal, TornTailIsToleratedAndLocated) {
 
 TEST(Wal, EmptyWalIsACleanEnd) {
   const std::string path = fresh_dir("wal-empty");
-  WalWriter w = WalWriter::create(path, 5, true);
+  WalWriter w = WalWriter::create(path, 5);
   w.close();
   WalReadResult r = durability::read_wal(path);
   EXPECT_EQ(r.base_epoch, 5u);

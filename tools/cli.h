@@ -6,7 +6,8 @@
 //               parallel exact peel)
 //   maintain    sliding-window batch maintenance (parallel/seq/JE/...)
 //   serve       drive the StreamingEngine from a temporal update file
-//   bench       engine-throughput benchmark emitting BENCH_*.json
+//   recover     rebuild state from a serve run's checkpoint + WAL directory
+//   stats       degree distribution + adjacency memory footprint
 //   convert     transcode datasets (e.g. edge list -> .pcg cache)
 //
 // The implementation lives in a library (cli.cpp) so tests can smoke

@@ -4,8 +4,8 @@
 Usage: validate_bench_json.py FILE...
 
 Each file must parse as JSON, carry the shared envelope (a known bench
-name and a non-empty rows array), and every row must provide the
-per-bench required fields. CI runs this over the perf-smoke outputs so a
+name and a non-empty rows array) plus its bench's overhead pairs, and
+every row must provide the per-bench required fields. CI runs this over the perf-smoke outputs so a
 schema drift (renamed field, truncated write, NaN) fails the build
 instead of silently corrupting the perf trajectory.
 """
@@ -16,14 +16,20 @@ import sys
 
 # bench name -> fields every row must carry, with JSON number values.
 ROW_FIELDS = {
-    "engine_throughput": [
-        "policy", "producers", "workers", "seconds", "updates_per_sec",
-        "epochs", "p50_flush_ms", "p99_flush_ms", "applied_inserts",
-        "applied_removes",
+    "engine": [
+        "policy", "mode", "producers", "workers", "cap", "ops", "seconds",
+        "updates_per_sec", "epochs", "p50_flush_ms", "p99_flush_ms",
+        "applied_inserts", "applied_removes", "annihilated_pairs",
+        "duplicates", "noops",
         # Per-phase pipeline decomposition (us, summed over the cell's
         # flushes; EngineStats::PhaseTotals).
-        "drain_us", "coalesce_us", "apply_us", "om_compact_us",
-        "publish_us", "worker_busy_us", "worker_idle_us",
+        "drain_us", "coalesce_us", "wal_us", "apply_us", "om_compact_us",
+        "checkpoint_us", "publish_us", "worker_busy_us", "worker_idle_us",
+        # The WAL's physical write totals and what admission control
+        # did to the stream (zero in rows that leave them off).
+        "wal_frames", "wal_bytes", "wal_fsyncs", "checkpoints",
+        "shed", "block_waits", "blocked_us", "compacted",
+        "overload_flushes",
     ],
     "paper": ["workload", "algo", "workers", "insert_ms", "remove_ms"],
     "storage": [],  # storage rows are heterogeneous; envelope-only check
@@ -34,29 +40,20 @@ ROW_FIELDS = {
     "bulk_decompose": [
         "workload", "algo", "workers", "decompose_ms", "max_core", "rounds",
     ],
-    "durability": [
-        "mode", "producers", "workers", "seconds", "updates_per_sec",
-        "epochs", "p99_flush_ms",
-        # Where the overhead lives: the wal/checkpoint slices of the
-        # flush window plus the WAL's physical write totals.
-        "wal_us", "checkpoint_us", "wal_frames", "wal_bytes", "wal_fsyncs",
-        "checkpoints",
-    ],
-    "overload": [
-        "mode", "cap", "producers", "workers", "seconds",
-        "updates_per_sec", "epochs", "p99_flush_ms",
-        # What each admission policy actually did to the stream.
-        "shed", "block_waits", "blocked_us", "compacted",
-        "overload_flushes",
-    ],
 }
 
-# Optional off/on overhead cell pairs (bench_engine_throughput emits
-# obs_overhead, bench_durability emits wal_overhead, bench_overload
-# emits admission_overhead). Same field triple for all.
-OVERHEAD_OBJECTS = ("obs_overhead", "wal_overhead", "admission_overhead")
+# bench name -> the off/on overhead pairs it must carry (CI gates each
+# one's overhead_pct). `pairs` holds each rep's own overhead.
+OVERHEADS = {
+    "engine": ("obs_overhead", "wal_overhead", "admission_overhead"),
+}
 
 STRING_FIELDS = {"policy", "workload", "mode", "algo"}
+
+
+def finite(value):
+    return isinstance(value, (int, float)) and not isinstance(
+        value, bool) and math.isfinite(value)
 
 
 def fail(path, message):
@@ -82,19 +79,21 @@ def validate(path):
     if not isinstance(rows, list) or not rows:
         return fail(path, "missing or empty 'rows'")
 
-    for name in OVERHEAD_OBJECTS:
+    for name in OVERHEADS.get(bench, ()):
         overhead = doc.get(name)
-        if overhead is None:
-            continue
         if not isinstance(overhead, dict):
-            return fail(path, f"'{name}' is not an object")
+            return fail(path, f"missing or malformed '{name}'")
         for field in ("off_updates_per_sec", "on_updates_per_sec",
                       "overhead_pct"):
-            value = overhead.get(field)
-            if not isinstance(value, (int, float)) or (
-                    isinstance(value, float) and not math.isfinite(value)):
+            if not finite(overhead.get(field)):
                 return fail(path, f"{name} field '{field}' not a "
-                                  f"finite number (got {value!r})")
+                                  f"finite number "
+                                  f"(got {overhead.get(field)!r})")
+        pairs = overhead.get("pairs")
+        if not isinstance(pairs, list) or not pairs or not all(
+                finite(p) for p in pairs):
+            return fail(path, f"{name} 'pairs' is not a non-empty array "
+                              f"of finite numbers")
 
     required = ROW_FIELDS[bench]
     for i, row in enumerate(rows):
@@ -107,8 +106,7 @@ def validate(path):
             if field in STRING_FIELDS:
                 if not isinstance(value, str) or not value:
                     return fail(path, f"row {i} field '{field}' not a string")
-            elif not isinstance(value, (int, float)) or (
-                    isinstance(value, float) and not math.isfinite(value)):
+            elif not finite(value):
                 return fail(path, f"row {i} field '{field}' not a finite "
                                   f"number (got {value!r})")
     print(f"{path}: ok ({bench}, {len(rows)} rows)")
